@@ -1,8 +1,9 @@
 """Setuptools entry point.
 
-Kept alongside pyproject.toml so that editable installs work on
-environments whose setuptools predates PEP 660 wheel-based editables
-(legacy ``setup.py develop`` path).
+The only packaging metadata in the repository (there is no
+pyproject.toml): ``pip install -e .`` and the legacy ``setup.py
+develop`` path both read it. Where neither can run offline,
+``scripts/dev_install.py`` links ``src/`` into site-packages instead.
 """
 
 from setuptools import find_packages, setup

@@ -14,6 +14,7 @@ time. Subcommands::
     python -m repro figure fig_6_3 --fast --jobs 4
     python -m repro figure fig_7_6 --no-cache
     python -m repro figure fig_throughput --fast --sim-backend fluid
+    python -m repro figure all --fast --jobs 4
     python -m repro dynamics --scenario mixed --epochs 24 --jobs 2
     python -m repro dynamics --scenario diurnal --policies static,threshold:0.1
     python -m repro dynamics --scenario mixed --simulate-rate 0.5
@@ -26,7 +27,8 @@ time. Subcommands::
 ``--jobs`` parallelizes the independent units of work (placement
 candidates for ``plan``, grid points for ``figure``) over worker
 processes; ``figure`` results are cached on disk by a content hash of
-their inputs unless ``--no-cache`` is given. A figure run uses exactly
+their inputs unless ``--no-cache`` is given (``figure all`` regenerates
+every figure in id order against one cache). A figure run uses exactly
 one process pool no matter how deep the work nests: the same ``--jobs``
 value is threaded into each grid point's inner placement searches, which
 detect that they are already inside a worker and run inline. Results are
@@ -246,6 +248,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_figure(args) -> int:
+    if args.figure_id == "all" and args.sim_backend is not None:
+        raise ReproError(
+            "figure 'all' does not accept --sim-backend "
+            "(most figures run no simulation)"
+        )
     max_bytes = (
         None
         if args.cache_max_mb is None
@@ -263,19 +270,21 @@ def _cmd_figure(args) -> int:
     kwargs = {}
     if args.sim_backend is not None:
         kwargs["backend"] = args.sim_backend
-    try:
-        result = run_figure(
-            args.figure_id, fast=args.fast, jobs=args.jobs, cache=cache,
-            **kwargs,
-        )
-    except TypeError as exc:
-        if kwargs and "backend" in str(exc):
-            raise ReproError(
-                f"figure {args.figure_id!r} does not accept --sim-backend "
-                "(it runs no simulation)"
-            ) from None
-        raise
-    print(result.render_text())
+    targets = sorted(FIGURES) if args.figure_id == "all" else [args.figure_id]
+    for figure_id in targets:
+        try:
+            result = run_figure(
+                figure_id, fast=args.fast, jobs=args.jobs, cache=cache,
+                **kwargs,
+            )
+        except TypeError as exc:
+            if kwargs and "backend" in str(exc):
+                raise ReproError(
+                    f"figure {figure_id!r} does not accept --sim-backend "
+                    "(it runs no simulation)"
+                ) from None
+            raise
+        print(result.render_text())
     if cache is not None:
         print(
             f"cache: {cache.hits} hit(s), {cache.misses} miss(es), "
@@ -438,9 +447,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "run (inspect with 'trace summarize')")
 
     figure = sub.add_parser(
-        "figure", help="regenerate one of the paper's figures"
+        "figure", help="regenerate one of the paper's figures, or all"
     )
-    figure.add_argument("figure_id", choices=sorted(FIGURES))
+    figure.add_argument("figure_id", choices=sorted(FIGURES) + ["all"])
     figure.add_argument("--fast", action="store_true",
                         help="shrink the parameter grid for a quick run")
     figure.add_argument("--jobs", type=int, default=1, metavar="N",

@@ -16,8 +16,9 @@ Two solver paths sit behind one interface:
   bounds and re-runs the solver, which re-optimizes from a warm basis
   (dual simplex) instead of solving cold. This is where the batched
   sweep's order-of-magnitude win comes from.
-* **scipy fallback** — otherwise each variant is one
-  ``scipy.optimize.linprog`` call reusing the prebuilt CSR matrices, so
+* **scipy fallback** — otherwise each variant is one cold
+  ``scipy.optimize.linprog`` call (through the same helper as
+  :func:`repro.lp.solver.solve`) reusing the prebuilt CSR matrices, so
   only assembly (not the cold solve) is amortized.
 
 Families whose *coefficients* drift — not just their RHS — are covered by
@@ -45,17 +46,16 @@ from that anchor. Each solve's result is then a pure function of (built
 program, request) — tied optima always break the same way, no matter
 which process solved what before. A :meth:`BatchedProgram.solve_many`
 batch instead starts cold and chains warm starts *within* itself: the
-variant list (and ``order``) is one request, so batches are equally
-deterministic without paying for a calibration. The anchor costs one
-extra solve per program and keeps most of the warm win: re-solves start
-from an optimal basis of a sibling LP instead of from scratch.
+variant list is one request, so batches are equally deterministic
+without paying for a calibration. The anchor costs one extra solve per
+program and keeps most of the warm win: re-solves start from an optimal
+basis of a sibling LP instead of from scratch.
 
-:meth:`BatchedProgram.solve_many` additionally takes
-``order="given"|"sorted"``: ``"sorted"`` sweeps the RHS variants in
+:meth:`BatchedProgram.solve_many` always sweeps the RHS variants in
 lexicographically ascending order (monotone for capacity sweeps, so each
 warm step is a small dual-simplex perturbation) and un-permutes the
-results, making the returned list independent of the caller's level
-order.
+results, so the returned list lines up with the input and does not
+depend on the caller's level order.
 
 The probe is transparent: callers never see which path ran unless they ask
 (:attr:`BatchedProgram.backend`). Set ``REPRO_LP_BACKEND=scipy`` to force
@@ -69,20 +69,16 @@ import os
 from typing import Any, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.errors import InfeasibleError, SolverError
 from repro.lp.problem import LinearProgram
-from repro.lp.solver import LPSolution
+from repro.lp.solver import LPSolution, _cold_solve
 from repro.obs import tracer as obs
 
 __all__ = ["BatchedProgram", "lp_backend_name"]
 
 #: Environment variable forcing a backend ("scipy" disables the HiGHS probe).
 LP_BACKEND_ENV = "REPRO_LP_BACKEND"
-
-_STATUS_INFEASIBLE = 2
-_STATUS_UNBOUNDED = 3
 
 
 def _probe_highs_bindings() -> tuple[Any, str]:
@@ -275,23 +271,7 @@ class _ScipyBackend:
         pass  # ditto: linprog reads the CSR matrix freshly every call
 
     def solve(self, b_ub: np.ndarray | None) -> LPSolution | None:
-        arrays = self._arrays
-        result = linprog(
-            arrays["c"],
-            A_ub=arrays["A_ub"],
-            b_ub=b_ub,
-            A_eq=arrays["A_eq"],
-            b_eq=arrays["b_eq"],
-            bounds=arrays["bounds"],
-            method="highs",
-        )
-        if result.status == _STATUS_INFEASIBLE:
-            return None
-        if result.status == _STATUS_UNBOUNDED:
-            raise SolverError("linear program is unbounded")
-        if not result.success:
-            raise SolverError(f"LP solver failed: {result.message}")
-        return LPSolution(x=np.asarray(result.x), objective=float(result.fun))
+        return _cold_solve(self._arrays, b_ub)
 
 
 class BatchedProgram:
@@ -522,45 +502,35 @@ class BatchedProgram:
     def solve_many(
         self,
         b_ub_variants: Iterable[Sequence[float] | np.ndarray],
-        order: str = "given",
     ) -> list[LPSolution | None]:
         """Solve every RHS variant against the shared structure.
 
         The batch starts from a cold solver state and chains warm starts
         *within* itself — deterministic, because the whole variant list
-        (and ``order``) is one request and nothing from earlier requests
-        leaks in. (Unlike single solves, batches skip the anchor: the
-        first variant's cold solve plays the calibration role and every
-        later variant chains off it, so a sweep costs no extra solve.)
+        is one request and nothing from earlier requests leaks in.
+        (Unlike single solves, batches skip the anchor: the first
+        variant's cold solve plays the calibration role and every later
+        variant chains off it, so a sweep costs no extra solve.)
 
-        Parameters
-        ----------
-        order:
-            ``"given"`` solves variants in input order. ``"sorted"``
-            solves them in lexicographically ascending RHS order — the
-            basis-aware schedule: a monotone capacity sweep makes every
-            warm step a small dual-simplex perturbation — and un-permutes,
-            so the returned list always lines up with the input *and* no
-            longer depends on the caller's level order.
+        Variants are solved in lexicographically ascending RHS order —
+        the basis-aware schedule: a monotone capacity sweep makes every
+        warm step a small dual-simplex perturbation — and un-permuted, so
+        the returned list always lines up with the input *and* does not
+        depend on the caller's level order.
         """
-        if order not in ("given", "sorted"):
-            raise SolverError(
-                f"unknown solve order {order!r}; choose 'given' or 'sorted'"
-            )
         variants = [self._check_rhs(v) for v in b_ub_variants]
         self.solve_count += len(variants)
         if variants:
             obs.count("lp.solve", len(variants))
         self._impl.cold_restart()
-        if order == "sorted" and self._n_le and len(variants) > 1:
-            stacked = np.stack(variants)
-            # lexsort's last key is primary: reverse so coordinate 0 leads
-            permutation = np.lexsort(stacked.T[::-1])
-            results: list[LPSolution | None] = [None] * len(variants)
-            for index in permutation:
-                results[index] = self._impl.solve(variants[index])
-            return results
-        return [self._impl.solve(variant) for variant in variants]
+        if not self._n_le or len(variants) < 2:
+            return [self._impl.solve(variant) for variant in variants]
+        # lexsort's last key is primary: reverse so coordinate 0 leads
+        permutation = np.lexsort(np.stack(variants).T[::-1])
+        results: list[LPSolution | None] = [None] * len(variants)
+        for index in permutation:
+            results[index] = self._impl.solve(variants[index])
+        return results
 
     def solve(
         self, b_ub: Sequence[float] | np.ndarray | None = None

@@ -11,6 +11,9 @@ every call. When the same program must be solved for many right-hand
 sides (a capacity sweep, the iterative algorithm's per-iteration capacity
 vectors), wrap it in :class:`~repro.lp.batched.BatchedProgram` instead —
 assembly happens once and solves reuse the factorized structure.
+:func:`solve` and the batched scipy fallback both go through
+:func:`_cold_solve`, the one ``linprog`` call site and the one place its
+statuses are mapped.
 """
 
 from __future__ import annotations
@@ -57,18 +60,32 @@ def solve(program: LinearProgram) -> LPSolution:
     >>> solve(lp).objective
     2.0
     """
-    arrays = program.build()
+    solution = _cold_solve(program.build())
+    if solution is None:
+        raise InfeasibleError("linear program is infeasible")
+    return solution
+
+
+def _cold_solve(
+    arrays: dict, b_ub: np.ndarray | None = None
+) -> LPSolution | None:
+    """One cold HiGHS solve of built arrays; ``None`` when infeasible.
+
+    ``b_ub`` overrides the built inequality RHS (the batched scipy
+    backend's per-variant sweep). Unbounded or otherwise failed solves
+    raise :class:`~repro.errors.SolverError`.
+    """
     result = linprog(
         arrays["c"],
         A_ub=arrays["A_ub"],
-        b_ub=arrays["b_ub"],
+        b_ub=arrays["b_ub"] if b_ub is None else b_ub,
         A_eq=arrays["A_eq"],
         b_eq=arrays["b_eq"],
         bounds=arrays["bounds"],
         method="highs",
     )
     if result.status == _STATUS_INFEASIBLE:
-        raise InfeasibleError("linear program is infeasible")
+        return None
     if result.status == _STATUS_UNBOUNDED:
         raise SolverError("linear program is unbounded")
     if not result.success:

@@ -44,9 +44,10 @@ right-hand side move. The batched entry points exploit exactly that split:
   returning ``None`` for infeasible ones.
 * :func:`fractional_placement` — the one-shot wrapper (builds a program,
   solves once). :func:`fractional_placement_loop` keeps the original
-  row-by-row assembly and cold solve as the reference implementation; the
-  batched path is pinned matrix-identical and objective-equivalent to it
-  by ``tests/test_fractional_batched.py``.
+  row-by-row assembly and cold solve as the reference implementation —
+  the pipeline never calls it; the batched path is pinned
+  matrix-identical and objective-equivalent to it by
+  ``tests/test_fractional_batched.py``.
 """
 
 from __future__ import annotations
@@ -372,7 +373,6 @@ class FractionalProgram:
         self,
         capacity_variants,
         strategy: np.ndarray | None = None,
-        order: str = "sorted",
     ) -> list[FractionalPlacement | None]:
         """Solve a family of capacity vectors against the shared structure.
 
@@ -381,14 +381,13 @@ class FractionalProgram:
         never silently dropped, matching the sweep convention of
         :meth:`~repro.lp.batched.BatchedProgram.solve_many`.
 
-        ``order="sorted"`` (the default) sweeps the capacity vectors in
-        ascending RHS order — monotone for uniform sweeps, so each warm
-        step is a small basis perturbation — and un-permutes the results;
-        ``order="given"`` keeps the input order.
+        The capacity vectors are swept in ascending RHS order — monotone
+        for uniform sweeps, so each warm step is a small basis
+        perturbation — and the results un-permuted.
         """
         self._set_strategy(strategy)
         solutions = self._batched.solve_many(
-            [self._rhs(caps) for caps in capacity_variants], order=order
+            [self._rhs(caps) for caps in capacity_variants]
         )
         return [
             None if sol is None else self._placement_from(sol)

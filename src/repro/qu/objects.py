@@ -34,7 +34,6 @@ class ReplicaHistory:
     """The per-object version history a server maintains."""
 
     candidates: list[Candidate] = field(default_factory=list)
-    pruned_below: QUTimestamp = field(default_factory=QUTimestamp.zero)
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -60,11 +59,7 @@ class ReplicaHistory:
         if len(self.candidates) <= keep_last:
             return
         self.candidates.sort(key=lambda c: c.timestamp)
-        dropped = self.candidates[:-keep_last]
         self.candidates = self.candidates[-keep_last:]
-        self.pruned_below = max(
-            self.pruned_below, max(c.timestamp for c in dropped)
-        )
 
     def copy_latest(self) -> "ReplicaHistory":
         """A lightweight copy carrying only the latest candidate (what a

@@ -230,7 +230,6 @@ class StrategyProgram:
     def solve_many(
         self,
         capacity_variants: Iterable[np.ndarray | float],
-        order: str = "sorted",
     ) -> list[ExplicitStrategy | None]:
         """Solve a family of capacity vectors against the shared structure.
 
@@ -239,18 +238,16 @@ class StrategyProgram:
         any profile can meet) — callers record those as dropped levels
         rather than silently skipping them.
 
-        ``order="sorted"`` (the default) sweeps the variants in ascending
-        RHS order — the basis-aware schedule, each warm step a small
-        perturbation — and un-permutes, so results line up with the input
-        and do not depend on the caller's level order. ``order="given"``
-        keeps the input order (the benchmarks use it to measure what
-        sorting buys).
+        The variants are swept in ascending RHS order — the basis-aware
+        schedule, each warm step a small perturbation — and un-permuted,
+        so results line up with the input and do not depend on the
+        caller's level order.
         """
         rhs = [
             self.normalize_capacities(caps)[self.support_nodes]
             for caps in capacity_variants
         ]
-        solutions = self._batched.solve_many(rhs, order=order)
+        solutions = self._batched.solve_many(rhs)
         return [
             None if sol is None else self._strategy_from(sol)
             for sol in solutions

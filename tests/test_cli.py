@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import main, parse_system
@@ -156,3 +158,56 @@ class TestCommands:
         )
         assert code == 1
         assert "comma-separated numbers" in capsys.readouterr().err
+
+
+class TestFigureCommand:
+    def test_sim_backend_rejected_by_non_simulation_figure(self, capsys):
+        code = main(
+            ["figure", "fig_6_3", "--no-cache", "--sim-backend", "fluid"]
+        )
+        assert code == 1
+        assert "does not accept --sim-backend" in capsys.readouterr().err
+
+    def test_non_positive_cache_size_errors(self, capsys):
+        code = main(["figure", "fig_6_3", "--cache-max-mb", "0"])
+        assert code == 1
+        assert "--cache-max-mb must be positive" in capsys.readouterr().err
+
+    def test_all_runs_every_figure_in_id_order_on_one_cache(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import repro.cli as cli
+
+        calls = []
+
+        def fake_run_figure(figure_id, fast, jobs, cache):
+            calls.append((figure_id, fast, jobs, cache))
+            return SimpleNamespace(render_text=lambda: f"rendered {figure_id}")
+
+        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+        code = main(
+            ["figure", "all", "--fast", "--cache-dir", str(tmp_path)]
+        )
+        assert code == 0
+        assert [c[0] for c in calls] == sorted(cli.FIGURES)
+        assert all(fast and jobs == 1 for _, fast, jobs, _ in calls)
+        assert calls[0][3] is not None
+        assert len({id(c[3]) for c in calls}) == 1
+        out = capsys.readouterr().out
+        assert out.count("rendered ") == len(cli.FIGURES)
+        assert out.count("cache: ") == 1
+
+    def test_all_rejects_sim_backend_before_running(
+        self, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        def fail_run_figure(*args, **kwargs):
+            raise AssertionError("no figure may run")
+
+        monkeypatch.setattr(cli, "run_figure", fail_run_figure)
+        code = main(
+            ["figure", "all", "--no-cache", "--sim-backend", "events"]
+        )
+        assert code == 1
+        assert "does not accept --sim-backend" in capsys.readouterr().err

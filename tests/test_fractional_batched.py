@@ -6,9 +6,10 @@ bindings import) against the row-by-row cold reference
 (`fractional_placement_loop`): assembled matrices must be *identical*
 (including explicitly stored zero-load entries), objectives must match
 within 1e-9 across evolving strategies, chosen placements must agree on
-Grid and Majority systems, and infeasible capacity vectors must surface
-as recorded ``None`` entries — the sweep convention — never as a silent
-divergence from the raise-path.
+Grid and Majority systems (the reference composed at the fractional
+seam: loop LP -> Lin–Vitter filter -> GAP rounding), and infeasible
+capacity vectors must surface as recorded ``None`` entries — the sweep
+convention — never as a silent divergence from the raise-path.
 """
 
 from __future__ import annotations
@@ -17,8 +18,12 @@ import numpy as np
 import pytest
 
 from repro.core.iterative import iterative_optimize
-from repro.errors import InfeasibleError, PlacementError, ReproError
+from repro.core.placement import PlacedQuorumSystem
+from repro.core.response_time import evaluate
+from repro.core.strategy import ExplicitStrategy
+from repro.errors import InfeasibleError, PlacementError
 from repro.lp import LinearProgram
+from repro.placement.filtering import lin_vitter_filter
 from repro.placement.fractional import (
     FractionalFamily,
     FractionalProgram,
@@ -26,6 +31,7 @@ from repro.placement.fractional import (
     fractional_placement,
     fractional_placement_loop,
 )
+from repro.placement.gap import round_fractional_placement
 from repro.placement.many_to_one import (
     best_many_to_one_placement,
     many_to_one_placement,
@@ -33,9 +39,55 @@ from repro.placement.many_to_one import (
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import MajorityKind, majority
 from repro.runtime.runner import GridRunner
+from repro.strategies.lp_optimizer import StrategyProgram
 
 GRID = GridQuorumSystem(3)
 MAJORITY = majority(MajorityKind.SIMPLE, 2)
+
+
+def _loop_many_to_one(topology, system, v0, capacities=None, strategy=None):
+    """The many-to-one pipeline on the row-by-row reference LP:
+    ``fractional_placement_loop`` -> Lin–Vitter filter -> GAP rounding."""
+    frac = fractional_placement_loop(
+        topology, system, v0, capacities=capacities, strategy=strategy
+    )
+    dist = topology.distances_from(v0)
+    filtered = lin_vitter_filter(frac.x, dist, eps=1.0 / 3.0)
+    return round_fractional_placement(filtered, dist, frac.element_loads)
+
+
+def _loop_first_iteration(topology, system, capacity, alpha, candidates):
+    """Iteration 1 of ``iterative_optimize`` on the reference LP.
+
+    Returns the chosen placed system and its per-phase metrics, keyed by
+    :class:`~repro.core.iterative.IterationRecord` field name.
+    """
+    uniform = np.full(
+        (topology.n_nodes, system.num_quorums), 1.0 / system.num_quorums
+    )
+    p = uniform.mean(axis=0)
+    caps = np.full(topology.n_nodes, capacity)
+    best_delay, best = np.inf, None
+    for v0 in candidates:
+        try:
+            placement = _loop_many_to_one(
+                topology, system, int(v0), capacities=caps, strategy=p
+            )
+        except InfeasibleError:
+            continue
+        placed = PlacedQuorumSystem(system, placement, topology)
+        delay = float((placed.delay_matrix @ p).mean())
+        if delay < best_delay:
+            best_delay, best = delay, placed
+    carried = ExplicitStrategy(uniform)
+    phase1 = evaluate(best, carried, alpha=0.0)
+    strategy = StrategyProgram(best).solve(carried.node_loads(best))
+    outcome = evaluate(best, strategy, alpha=alpha)
+    return best, {
+        "phase1_network_delay": phase1.avg_network_delay,
+        "phase2_network_delay": outcome.avg_network_delay,
+        "response_time": outcome.avg_response_time,
+    }
 
 
 def _loop_arrays(topology, system, v0, strategy=None):
@@ -139,9 +191,7 @@ class TestObjectiveEquivalence:
             batched = many_to_one_placement(
                 planetlab, system, v0, capacities=caps
             )
-            loop = many_to_one_placement(
-                planetlab, system, v0, capacities=caps, fractional="loop"
-            )
+            loop = _loop_many_to_one(planetlab, system, v0, capacities=caps)
             assert np.array_equal(batched.assignment, loop.assignment)
 
     def test_in_place_strategy_mutation_not_aliased(self, line_topology):
@@ -158,12 +208,6 @@ class TestObjectiveEquivalence:
         loop = fractional_placement_loop(line_topology, g, 4, strategy=p)
         assert np.array_equal(mutated.element_loads, loop.element_loads)
         assert mutated.objective == pytest.approx(loop.objective, abs=1e-9)
-
-    def test_unknown_fractional_mode_rejected_at_pipeline(self, line_topology):
-        with pytest.raises(PlacementError):
-            many_to_one_placement(
-                line_topology, GridQuorumSystem(2), 0, fractional="lop"
-            )
 
     def test_one_shot_wrapper_honors_strategy(self, planetlab):
         p = np.zeros(GRID.num_quorums)
@@ -228,45 +272,39 @@ class TestIterativeIntegration:
         """Warm batched solves drive the loop through the same first
         iteration as the cold reference: metrics within 1e-9 and the
         placement identical (the uniform-strategy LPs are tie-free here).
-        Later iterations run under LP-optimal strategies that zero out
-        whole quorums, leaving the elements unique to them genuinely
-        unconstrained — tied optimal vertices that the canonical anchored
-        solves and the cold reference may break differently and round to
-        different (equal-LP-quality) placements, after which the
-        trajectories legitimately diverge (that is why
-        CACHE_SCHEMA_VERSION was bumped). Beyond iteration 1 the pinned
-        contract is therefore structural: each path improves strictly
-        until its stopping rule and returns its own best iteration."""
-        kwargs = dict(
+        The reference is iteration 1 rebuilt on the loop LP — the
+        best-``v0`` search under the uniform strategy, then both phases
+        on the winner. Later iterations run under LP-optimal strategies
+        that zero out whole quorums, leaving the elements unique to them
+        genuinely unconstrained — tied optimal vertices that canonical
+        anchored solves and a cold reference may break differently — so
+        beyond iteration 1 the pinned contract is structural: the loop
+        improves strictly until its stopping rule and returns its best
+        iteration."""
+        system = GridQuorumSystem(2)
+        batched = iterative_optimize(
+            planetlab,
+            system,
             capacities=0.9,
             alpha=7.0,
             candidates=self.CANDIDATES,
             max_iterations=4,
         )
-        batched = iterative_optimize(
-            planetlab, GridQuorumSystem(2), **kwargs
+        first = batched.history[0]
+        placed, reference = _loop_first_iteration(
+            planetlab, system, 0.9, 7.0, self.CANDIDATES
         )
-        loop = iterative_optimize(
-            planetlab, GridQuorumSystem(2), fractional="loop", **kwargs
-        )
-        first_b, first_l = batched.history[0], loop.history[0]
         assert np.array_equal(
-            first_b.placed.placement.assignment,
-            first_l.placed.placement.assignment,
+            first.placed.placement.assignment, placed.placement.assignment
         )
-        for metric in (
-            "phase1_network_delay",
-            "phase2_network_delay",
-            "response_time",
-        ):
-            assert getattr(first_b, metric) == pytest.approx(
-                getattr(first_l, metric), abs=1e-9
+        for metric, value in reference.items():
+            assert getattr(first, metric) == pytest.approx(
+                value, abs=1e-9
             ), metric
-        for result in (batched, loop):
-            times = [rec.response_time for rec in result.history]
-            # every iteration kept by the stopping rule strictly improved
-            assert all(b < a for a, b in zip(times[:-1], times[1:-1]))
-            assert result.response_time == min(times)
+        times = [rec.response_time for rec in batched.history]
+        # every iteration kept by the stopping rule strictly improved
+        assert all(b < a for a, b in zip(times[:-1], times[1:-1]))
+        assert batched.response_time == min(times)
 
     def test_family_shared_across_calls(self, line_topology):
         """One family threaded through a capacity sweep: later calls
@@ -289,22 +327,6 @@ class TestIterativeIntegration:
         ]
         assert len(family) == len(self.CANDIDATES)
         assert shared == pytest.approx(fresh, abs=1e-9)
-
-    def test_loop_mode_rejects_family(self, line_topology):
-        g = GridQuorumSystem(2)
-        with pytest.raises(ReproError):
-            iterative_optimize(
-                line_topology, g, capacities=1.0, alpha=7.0,
-                candidates=self.CANDIDATES, fractional="loop",
-                family=FractionalFamily(line_topology, g),
-            )
-
-    def test_unknown_fractional_mode_rejected(self, line_topology):
-        with pytest.raises(ReproError):
-            iterative_optimize(
-                line_topology, GridQuorumSystem(2), capacities=1.0,
-                alpha=7.0, fractional="glpk",
-            )
 
 
 class TestParallelSearch:

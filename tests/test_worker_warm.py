@@ -171,34 +171,66 @@ class TestCanonicalTieBreak:
 
 
 class TestSortedVsGiven:
-    VARIANTS = [[-1.8], [-0.3], [-2.7], [-1.2], [-0.9]]
+    """``solve_many`` answers do not depend on the caller's input order:
+    the variants as given and the same variants pre-sorted (or reversed)
+    come back with the same feasibility and objectives, lined up with
+    their own input."""
+
+    VARIANTS = [[-1.8], [-0.3], [-2.7], [-1.2], [-0.9], [-4.0]]
+
+    def _permuted(self, permutation):
+        """Solve ``VARIANTS[permutation]`` and un-permute the results."""
+        solved = _tied_program().solve_many(
+            [self.VARIANTS[i] for i in permutation]
+        )
+        results = [None] * len(solved)
+        for position, index in enumerate(permutation):
+            results[index] = solved[position]
+        return results
+
+    def _permutations(self):
+        ascending = sorted(
+            range(len(self.VARIANTS)), key=self.VARIANTS.__getitem__
+        )
+        return [ascending, ascending[::-1]]
 
     @pytest.mark.parametrize("backend_env", BACKENDS)
     def test_orders_agree_on_objectives_and_feasibility(
         self, monkeypatch, backend_env
     ):
         _force_backend(monkeypatch, backend_env)
-        given = _tied_program().solve_many(self.VARIANTS, order="given")
-        sorted_ = _tied_program().solve_many(self.VARIANTS, order="sorted")
-        assert [s is None for s in given] == [s is None for s in sorted_]
-        for a, b in zip(given, sorted_):
-            if a is not None:
-                assert a.objective == pytest.approx(b.objective, abs=1e-9)
+        given = _tied_program().solve_many(self.VARIANTS)
+        assert given[-1] is None  # x + y + z >= 4 exceeds [0, 1]^3
+        for permutation in self._permutations():
+            permuted = self._permuted(permutation)
+            assert [s is None for s in given] == [s is None for s in permuted]
+            for a, b in zip(given, permuted):
+                if a is not None:
+                    assert a.objective == pytest.approx(b.objective, abs=1e-9)
+
+    def test_sorted_sweep_is_bitwise_stable_on_warm_backend(self):
+        """On the auto-probed backend the batch chains warm starts, so
+        only the sorted sweep makes the returned vertices independent of
+        the input order: every permutation runs the same solve sequence."""
+        given = _tied_program().solve_many(self.VARIANTS)
+        for permutation in self._permutations():
+            for a, b in zip(given, self._permuted(permutation)):
+                if a is None:
+                    assert b is None
+                else:
+                    assert np.array_equal(a.x, b.x)
 
     def test_sorted_is_bitwise_stable_on_scipy(self, monkeypatch):
         """The stateless backend solves each variant independently, so
-        sorting must change nothing at all — the permutation round-trips."""
+        the input order must change nothing at all."""
         monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
-        given = _tied_program().solve_many(self.VARIANTS, order="given")
-        sorted_ = _tied_program().solve_many(self.VARIANTS, order="sorted")
-        for a, b in zip(given, sorted_):
-            assert np.array_equal(a.x, b.x)
-
-    def test_unknown_order_rejected(self):
-        from repro.errors import SolverError
-
-        with pytest.raises(SolverError):
-            _tied_program().solve_many([[-1.0]], order="descending")
+        given = _tied_program().solve_many(self.VARIANTS)
+        for permutation in self._permutations():
+            for a, b in zip(given, self._permuted(permutation)):
+                if a is None:
+                    assert b is None
+                else:
+                    assert np.array_equal(a.x, b.x)
 
 
 def _assert_search_identical(serial, parallel):
