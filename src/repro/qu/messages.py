@@ -15,7 +15,7 @@ from repro.qu.timestamps import QUTimestamp
 __all__ = ["QURequest", "QUReply"]
 
 
-@dataclass
+@dataclass(slots=True)
 class QURequest:
     """A conditioned single-round-trip operation.
 
@@ -33,7 +33,7 @@ class QURequest:
     arrived_at_ms: float = -1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class QUReply:
     """A server's answer: accept/reject plus its (pruned) replica history."""
 

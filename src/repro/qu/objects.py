@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SimulationError
 from repro.qu.timestamps import QUTimestamp
 
 __all__ = ["Candidate", "ReplicaHistory", "classify_replies"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One object version: a timestamp and an opaque value token."""
 
@@ -31,40 +32,53 @@ class Candidate:
 
 @dataclass
 class ReplicaHistory:
-    """The per-object version history a server maintains."""
+    """The per-object version history a server maintains.
+
+    :meth:`accept` and :meth:`prune` are the only mutators of
+    ``candidates``; they keep :attr:`latest` up to date, so reading it is
+    O(1) in the history's length.
+    """
 
     candidates: list[Candidate] = field(default_factory=list)
+    _latest: Candidate = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.candidates:
             self.candidates.append(
                 Candidate(timestamp=QUTimestamp.zero(), value=0)
             )
+        self._latest = max(self.candidates, key=lambda c: c.timestamp)
 
     @property
     def latest(self) -> Candidate:
-        """The highest-timestamped candidate."""
-        return max(self.candidates, key=lambda c: c.timestamp)
+        """The highest-timestamped candidate, as ``max`` would pick it."""
+        return self._latest
 
     def accept(self, candidate: Candidate) -> None:
         """Append a new candidate (server-side accept)."""
         self.candidates.append(candidate)
+        if candidate.timestamp > self._latest.timestamp:
+            self._latest = candidate
 
     def prune(self, keep_last: int = 8) -> None:
         """Discard old candidates, keeping the most recent ``keep_last``.
 
         Q/U servers prune replica histories once versions are known to be
         established; keeping a short suffix bounds memory in long runs.
+        A history is never empty, so ``keep_last`` must be at least 1.
         """
+        if keep_last < 1:
+            raise SimulationError(f"keep_last must be >= 1, got {keep_last}")
         if len(self.candidates) <= keep_last:
             return
         self.candidates.sort(key=lambda c: c.timestamp)
         self.candidates = self.candidates[-keep_last:]
+        self._latest = max(self.candidates, key=lambda c: c.timestamp)
 
     def copy_latest(self) -> "ReplicaHistory":
         """A lightweight copy carrying only the latest candidate (what a
         server returns in a reply)."""
-        return ReplicaHistory(candidates=[self.latest])
+        return ReplicaHistory(candidates=[self._latest])
 
 
 def classify_replies(histories: list[ReplicaHistory]) -> tuple[str, Candidate]:

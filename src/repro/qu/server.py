@@ -75,15 +75,10 @@ class QUServer:
     # ------------------------------------------------------------------
     # Service
     # ------------------------------------------------------------------
-    def _history_for(self, object_id: int) -> ReplicaHistory:
-        history = self._store.get(object_id)
-        if history is None:
-            history = ReplicaHistory()
-            self._store[object_id] = history
-        return history
-
     def _finish(self, request: QURequest) -> None:
-        history = self._history_for(request.object_id)
+        history = self._store.get(request.object_id)
+        if history is None:
+            history = self._store[request.object_id] = ReplicaHistory()
         latest = history.latest
         accepted = True
         if request.is_write:
@@ -130,7 +125,3 @@ class QUServer:
         if elapsed_ms <= 0:
             raise SimulationError("elapsed time must be positive")
         return min(1.0, self.busy_time_ms / elapsed_ms)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)

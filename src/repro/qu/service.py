@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.network.graph import Topology
+from repro.obs import tracer as obs
 from repro.qu.client import QUClient
 from repro.qu.messages import QUReply, QURequest
 from repro.qu.server import QUServer
@@ -32,7 +33,6 @@ class QUService:
         topology: Topology,
         server_nodes: np.ndarray,
         quorum_size: int,
-        sim: Simulator | None = None,
         service_time_ms: float = 1.0,
         network_jitter_ms: float = 0.0,
         seed: int = 0,
@@ -47,7 +47,7 @@ class QUService:
                 f"quorum size {quorum_size} invalid for "
                 f"{server_nodes.size} servers"
             )
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         self.topology = topology
         self.network = SimNetwork(
             self.sim, topology, jitter_ms=network_jitter_ms, seed=seed
@@ -115,7 +115,11 @@ class QUService:
     # Execution
     # ------------------------------------------------------------------
     def run(self, duration_ms: float, stagger_ms: float = 1.0) -> None:
-        """Start every client (staggered) and run for ``duration_ms``."""
+        """Start every client (staggered) and run for ``duration_ms``.
+
+        Traced, the run is one ``qu.run`` span and then adds the service's
+        ``qu.ops``/``qu.retries``/``qu.requests``/``sim.events`` totals.
+        """
         if not self.clients:
             raise SimulationError("no clients to run")
         rng = np.random.default_rng(self._seed)
@@ -123,9 +127,15 @@ class QUService:
             client.start(
                 initial_delay_ms=float(rng.uniform(0.0, stagger_ms))
             )
-        self.sim.run(until=duration_ms)
+        with obs.span("qu.run", clients=len(self.clients)):
+            self.sim.run(until=duration_ms)
         for client in self.clients:
             client.stop()
+        obs.count("qu.ops", sum(c.operations_completed for c in self.clients))
+        obs.count("qu.retries", sum(c.retries_total for c in self.clients))
+        served = sum(s.requests_processed for s in self.servers)
+        obs.count("qu.requests", served)
+        obs.count("sim.events", self.sim.events_processed)
 
     def all_records(self) -> list[OperationRecord]:
         """Completed-operation records across every client."""

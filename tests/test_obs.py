@@ -598,6 +598,27 @@ class TestLpCounters:
 
 
 # ----------------------------------------------------------------------
+# Q/U counters: one emission per service run, results untouched
+# ----------------------------------------------------------------------
+class TestQuCounters:
+    def test_traced_fig_3_1_counts_and_matches_untraced(self):
+        from repro.experiments import run_figure
+
+        untraced = run_figure("fig_3_1", fast=True)
+        tracer = Tracer()
+        with tracing(tracer):
+            traced = run_figure("fig_3_1", fast=True)
+        assert traced.series == untraced.series
+        events, counters = tracer.export()
+        runs = [e for e in events if e["name"] == "qu.run"]
+        assert runs and all(e["parent"] is not None for e in runs)
+        assert counters["qu.ops"] > 0
+        assert counters["qu.requests"] > counters["qu.ops"]
+        assert counters["sim.events"] > counters["qu.requests"]
+        assert counters["qu.retries"] == 0  # private objects never contend
+
+
+# ----------------------------------------------------------------------
 # CLI integration: --trace and trace summarize
 # ----------------------------------------------------------------------
 class TestCli:

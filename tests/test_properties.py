@@ -7,10 +7,14 @@ These target the load-bearing mathematical properties:
 * metric axioms of generated topologies,
 * load conservation and linearity,
 * response-time model monotonicity,
-* filtering/rounding invariants of the placement pipeline.
+* filtering/rounding invariants of the placement pipeline,
+* Q/U state: the cached latest candidate vs a full rescan, timestamp
+  order vs a tuple oracle, and pickle/copy of the slotted classes.
 """
 
+import copy
 import itertools
+import pickle
 from math import comb
 
 import numpy as np
@@ -26,6 +30,9 @@ from repro.network.generators import ClusterSpec, generate_cluster_topology
 from repro.network.graph import Topology
 from repro.placement.filtering import lin_vitter_filter
 from repro.placement.gap import round_fractional_placement
+from repro.qu.messages import QUReply, QURequest
+from repro.qu.objects import Candidate, ReplicaHistory
+from repro.qu.timestamps import QUTimestamp
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.order_stats import (
     expected_max_of_random_subset,
@@ -254,3 +261,84 @@ def test_explicit_strategy_normalizes(n_clients, m, seed):
     s = ExplicitStrategy(matrix)
     assert np.allclose(s.matrix.sum(axis=1), 1.0)
     assert np.all(s.matrix >= 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Q/U protocol state
+# ---------------------------------------------------------------------------
+timestamps = st.builds(
+    QUTimestamp,
+    time=st.integers(min_value=0, max_value=4),
+    barrier=st.booleans(),
+    client_id=st.integers(min_value=-1, max_value=2),
+    op_seq=st.integers(min_value=-1, max_value=2),
+)
+candidates = st.builds(
+    Candidate, timestamp=timestamps, value=st.integers(-3, 3)
+)
+history_ops = st.one_of(
+    st.tuples(st.just("accept"), candidates),
+    st.tuples(st.just("prune"), st.integers(min_value=1, max_value=6)),
+)
+
+
+def _oracle_key(ts):
+    return (ts.time, int(ts.barrier), ts.client_id, ts.op_seq)
+
+
+@given(st.lists(candidates, max_size=8), st.lists(history_ops, max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_replica_history_latest_is_max(initial, ops):
+    """The incrementally kept ``latest`` is what a full ``max`` rescan
+    returns, through any mix of accepts and prunes, duplicate and
+    out-of-order timestamps included."""
+    history = ReplicaHistory(candidates=list(initial))
+    for op, arg in ops:
+        if op == "accept":
+            history.accept(arg)
+        else:
+            before = len(history.candidates)
+            history.prune(keep_last=arg)
+            assert len(history.candidates) == min(before, arg)
+        assert history.latest == max(
+            history.candidates, key=lambda c: c.timestamp
+        )
+    assert history.copy_latest().latest == history.latest
+
+
+@given(timestamps, timestamps)
+@settings(max_examples=300, deadline=None)
+def test_timestamp_order_matches_tuple_oracle(a, b):
+    ka, kb = _oracle_key(a), _oracle_key(b)
+    assert (a < b) == (ka < kb)
+    assert (a <= b) == (ka <= kb)
+    assert (a == b) == (ka == kb)
+    assert (a > b) == (ka > kb)
+    assert (a >= b) == (ka >= kb)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(candidates)
+@settings(max_examples=30, deadline=None)
+def test_qu_state_survives_pickle_and_copy(candidate):
+    """The slotted Q/U classes round-trip through pickle and ``copy``."""
+    ts = candidate.timestamp
+    request = QURequest(
+        client_id=1, op_seq=2, object_id=3, condition_on=ts,
+        is_write=True, sent_at_ms=1.5,
+    )
+    reply = QUReply(
+        server_id=0, client_id=1, op_seq=2, accepted=False,
+        history=ReplicaHistory(candidates=[candidate]),
+        request_arrived_at_ms=2.0, sent_at_ms=3.0,
+    )
+    for obj in (ts, candidate, request, reply):
+        for clone in (
+            pickle.loads(pickle.dumps(obj)),
+            copy.copy(obj),
+            copy.deepcopy(obj),
+        ):
+            assert clone == obj
+    restored = pickle.loads(pickle.dumps(reply))
+    assert restored.history.latest == candidate

@@ -5,12 +5,15 @@ import pytest
 
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import SimulationError
+from repro.obs import Tracer, tracing
+from repro.qu.service import QUService
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.sim.experiment import (
     QUExperimentConfig,
     run_qu_experiment,
     select_client_sites,
 )
+from repro.sim.metrics import summarize
 
 
 class TestConfig:
@@ -103,3 +106,38 @@ class TestRunExperiment:
         b = run_qu_experiment(planetlab, cfg)
         assert a.mean_response_ms == b.mean_response_ms
         assert a.operations_completed == b.operations_completed
+
+
+class TestGoldenCells:
+    """Exact outputs of two short Q/U cells, pinned so that a change in
+    protocol behaviour (ordering, history bookkeeping, retries) fails
+    tier-1 rather than only the benchmark's output check."""
+
+    def test_private_object_cell(self, planetlab):
+        cfg = QUExperimentConfig(
+            t=1, clients_per_site=4, duration_ms=1000.0, warmup_ms=200.0,
+            seed=11,
+        )
+        with tracing(Tracer()) as tracer:
+            result = run_qu_experiment(planetlab, cfg)
+        counters = tracer.export()[1]
+        assert result.operations_completed == 428
+        assert repr(result.mean_response_ms) == "69.43938646321286"
+        assert repr(result.mean_network_delay_ms) == "67.83398902694248"
+        assert counters["qu.ops"] == 560
+        assert counters["qu.retries"] == 0
+        assert counters["qu.requests"] == 2900
+
+    def test_shared_object_cell(self, planetlab):
+        """Five writers per object: the contended classify, re-condition
+        and backoff path, with prunes of multi-writer histories."""
+        service = QUService(planetlab, np.arange(6), quorum_size=5, seed=3)
+        for i in range(10):
+            service.add_client(10 + i, object_id=i % 2)
+        service.run(duration_ms=1500.0)
+        stats = summarize(service.all_records(), warmup_ms=100.0)
+        assert stats.n_operations == 152
+        assert repr(stats.mean_response_ms) == "18.284217549520232"
+        assert sum(c.operations_completed for c in service.clients) == 159
+        assert sum(c.retries_total for c in service.clients) == 97
+        assert sum(s.requests_processed for s in service.servers) == 1292

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.qu.objects import Candidate, ReplicaHistory, classify_replies
 from repro.qu.timestamps import QUTimestamp
 
@@ -69,6 +70,18 @@ class TestReplicaHistory:
         h = ReplicaHistory()
         h.prune(keep_last=8)
         assert len(h.candidates) == 1
+
+    @pytest.mark.parametrize("keep_last", [0, -1])
+    def test_prune_rejects_keep_last_below_one(self, keep_last):
+        h = ReplicaHistory()
+        ts = QUTimestamp.zero()
+        for i in range(5):
+            ts = ts.next_for(1, i)
+            h.accept(Candidate(ts, value=i))
+        with pytest.raises(SimulationError, match="keep_last"):
+            h.prune(keep_last=keep_last)
+        assert len(h.candidates) == 6
+        assert h.latest.timestamp == ts
 
     def test_copy_latest_is_minimal(self):
         h = ReplicaHistory()
