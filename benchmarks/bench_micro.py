@@ -73,6 +73,18 @@ def test_best_placement_search_grid5(benchmark, planetlab):
     )
 
 
+def test_best_placement_search_grid11_daxlist(benchmark, daxlist):
+    """Best-v0 search over all 161 daxlist candidates (Grid 11x11).
+
+    The ``placement`` + ``core`` layers of the ``o2o-sweep`` perfbench
+    workload: 161 placements of one system, each scored by ``evaluate``.
+    """
+    system = GridQuorumSystem(11)
+    benchmark.pedantic(
+        lambda: best_placement(daxlist, system), rounds=5, iterations=1
+    )
+
+
 def test_response_time_evaluation(benchmark, grid7_placed):
     """One full (4.1)-(4.2) evaluation: loads + augmented delays."""
     strategy = ExplicitStrategy.uniform(grid7_placed)
@@ -82,7 +94,7 @@ def test_response_time_evaluation(benchmark, grid7_placed):
 def test_augmented_delay_broadcast(benchmark, grid7_placed):
     """The vectorized (4.1) max-broadcast over 50 clients x 49 quorums."""
     costs = np.random.default_rng(0).uniform(0, 50, grid7_placed.n_nodes)
-    grid7_placed._padded_quorum_nodes  # exclude one-time index build
+    grid7_placed.system.member_index  # exclude the one-time index build
     benchmark(lambda: grid7_placed.augmented_delay_matrix(costs))
 
 

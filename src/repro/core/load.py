@@ -20,7 +20,6 @@ from repro.core.placement import PlacedQuorumSystem
 from repro.errors import StrategyError
 
 __all__ = [
-    "element_loads",
     "node_loads_for_client",
     "node_loads",
     "node_loads_from_average_strategy",
@@ -37,22 +36,6 @@ def _check_strategy_matrix(placed: PlacedQuorumSystem, p: np.ndarray) -> np.ndar
             f"system has {placed.num_quorums}"
         )
     return matrix
-
-
-def element_loads(placed: PlacedQuorumSystem, p_v: np.ndarray) -> np.ndarray:
-    """``load_v(u)`` for every element ``u``, for one client's strategy."""
-    p = np.asarray(p_v, dtype=np.float64)
-    if p.shape != (placed.num_quorums,):
-        raise StrategyError(
-            f"expected a strategy over {placed.num_quorums} quorums"
-        )
-    loads = np.zeros(placed.system.universe_size)
-    for i, quorum in enumerate(placed.system.quorums):
-        if p[i] == 0.0:  # repro-lint: disable=RL006 -- exact-zero skip is a pure optimization; near-zero weights must still accumulate
-            continue
-        for u in quorum:
-            loads[u] += p[i]
-    return loads
 
 
 def node_loads_for_client(

@@ -10,6 +10,12 @@ co-locating elements.
 the derived quantities every algorithm needs: placed quorums ``f(Q)``, the
 element-to-node incidence matrix, and the network-delay matrix
 ``delta_f(v, Q_i) = max_{w in f(Q_i)} d(v, w)``.
+
+The quorum structure is per system, not per placement: every placement
+gathers through its system's cached
+:attr:`~repro.quorums.base.QuorumSystem.member_index`, so the candidates
+of one search share one index. Padding in its ``(m, k_max)`` element
+matrix repeats a member of the row, so it never changes a per-quorum max.
 """
 
 from __future__ import annotations
@@ -134,11 +140,8 @@ class PlacedQuorumSystem:
 
         Requires an enumerable system.
         """
-        assignment = self.placement.assignment
-        return [
-            np.unique(assignment[np.fromiter(q, dtype=np.intp)])
-            for q in self.system.quorums
-        ]
+        nodes = self.placement.assignment[self.system.member_index.matrix]
+        return [np.unique(row) for row in nodes]
 
     @cached_property
     def incidence_counts(self) -> np.ndarray:
@@ -146,14 +149,16 @@ class PlacedQuorumSystem:
 
         This is the paper's load model: a node hosting several elements of
         the accessed quorum processes the request once *per element*.
+        Requires an enumerable system.
         """
-        assignment = self.placement.assignment
-        m = self.system.num_quorums
-        a = np.zeros((m, self.n_nodes), dtype=np.float64)
-        for i, quorum in enumerate(self.system.quorums):
-            for u in quorum:
-                a[i, assignment[u]] += 1.0
-        return a
+        members = self.system.member_index
+        n_nodes = self.n_nodes
+        cells = (
+            members.quorum_ids * n_nodes
+            + self.placement.assignment[members.elements]
+        )
+        counts = np.bincount(cells, minlength=self.num_quorums * n_nodes)
+        return counts.reshape(self.num_quorums, n_nodes).astype(np.float64)
 
     @cached_property
     def incidence_indicator(self) -> np.ndarray:
@@ -168,42 +173,22 @@ class PlacedQuorumSystem:
     # ------------------------------------------------------------------
     # Delays
     # ------------------------------------------------------------------
-    @cached_property
-    def _padded_quorum_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Placed quorums as a rectangular (m, k_max) index matrix + mask.
-
-        ``idx[i, :len(f(Q_i))]`` holds the distinct nodes of ``f(Q_i)``;
-        ``mask`` marks which slots are real. This shape is what lets the
-        per-quorum max in :attr:`delay_matrix` and
-        :meth:`augmented_delay_matrix` run as one numpy gather+reduce
-        instead of a Python loop over quorums.
-        """
-        placed = self.placed_quorums
-        k_max = max(nodes.size for nodes in placed)
-        idx = np.zeros((len(placed), k_max), dtype=np.intp)
-        mask = np.zeros((len(placed), k_max), dtype=bool)
-        for i, nodes in enumerate(placed):
-            idx[i, : nodes.size] = nodes
-            mask[i, : nodes.size] = True
-        return idx, mask
-
     def _max_over_quorums(self, values: np.ndarray) -> np.ndarray:
         """``out[v, i] = max_{w in f(Q_i)} values[v, w]`` as a broadcast.
 
-        Chunked over quorums so the (clients, chunk, k_max) gather stays
-        within a few megabytes even for enumerated threshold systems.
+        Gathers ``values`` through ``assignment[matrix]``, the system's
+        padded member matrix mapped to nodes; padding repeats a member of
+        the row, so no mask is needed. Chunked over quorums so the
+        (clients, chunk, k_max) gather stays within a few megabytes even
+        for enumerated threshold systems.
         """
-        idx, mask = self._padded_quorum_nodes
+        idx = self.placement.assignment[self.system.member_index.matrix]
         n, (m, k_max) = values.shape[0], idx.shape
         out = np.empty((n, m))
         chunk = max(1, 2_000_000 // max(1, n * k_max))
-        neg_inf = -np.inf
         for start in range(0, m, chunk):
             sl = slice(start, min(start + chunk, m))
-            gathered = values[:, idx[sl]]  # (n, chunk, k_max)
-            out[:, sl] = np.where(
-                mask[sl][None, :, :], gathered, neg_inf
-            ).max(axis=2)
+            out[:, sl] = values[:, idx[sl]].max(axis=2)
         return out
 
     @cached_property

@@ -126,7 +126,13 @@ class ExplicitStrategy(AccessStrategy):
         clients: np.ndarray,
     ) -> np.ndarray:
         self._check_compatible(placed)
-        rho = placed.augmented_delay_matrix(node_costs)
+        costs = np.asarray(node_costs, dtype=np.float64)
+        if costs.shape == (placed.n_nodes,) and not costs.any():
+            # Zero costs leave (4.1) at the plain network delay, which the
+            # placement already caches.
+            rho = placed.delay_matrix
+        else:
+            rho = placed.augmented_delay_matrix(costs)
         return np.einsum("vi,vi->v", self._matrix[clients], rho[clients])
 
     # Constructors -----------------------------------------------------

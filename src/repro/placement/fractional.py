@@ -81,13 +81,7 @@ def element_loads_of_strategy(
         raise PlacementError(
             f"strategy must cover {system.num_quorums} quorums"
         )
-    loads = np.zeros(system.universe_size)
-    for i, quorum in enumerate(system.quorums):
-        if p[i] == 0.0:  # repro-lint: disable=RL006 -- exact-zero skip is a pure optimization; near-zero weights must still accumulate
-            continue
-        for u in quorum:
-            loads[u] += p[i]
-    return loads
+    return system.member_index.element_loads(p)
 
 
 @dataclass(frozen=True)
@@ -178,17 +172,12 @@ def _build_structure(topology: Topology, system: QuorumSystem) -> _Structure:
     n = system.universe_size
     n_nodes = topology.n_nodes
     m = system.num_quorums
-    # Preserve each quorum's iteration order so the delay rows come out in
-    # exactly the order the row-by-row reference path emits them.
-    quorums = [
-        np.fromiter(q, dtype=np.intp, count=len(q)) for q in system.quorums
-    ]
-    elem_ids = (
-        np.concatenate(quorums) if quorums else np.empty(0, dtype=np.intp)
-    )
-    quorum_ids = np.repeat(
-        np.arange(m, dtype=np.intp), [q.size for q in quorums]
-    )
+    # The member pairs keep each quorum's iteration order, so the delay
+    # rows come out in exactly the order the row-by-row reference path
+    # emits them.
+    members = system.member_index
+    elem_ids = members.elements
+    quorum_ids = members.quorum_ids
     n_pairs = elem_ids.size
     nodes = np.arange(n_nodes, dtype=np.intp)
 

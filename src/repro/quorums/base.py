@@ -21,15 +21,79 @@ from __future__ import annotations
 # (or threshold structure) defined through this API; construction changes
 # here change every cache key downstream.
 
+import itertools
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from repro.errors import QuorumSystemError
 
-__all__ = ["QuorumSystem", "EnumeratedQuorumSystem"]
+__all__ = ["QuorumSystem", "EnumeratedQuorumSystem", "MemberIndex"]
 
 #: Refuse to enumerate more quorums than this (safety valve for thresholds).
 MAX_ENUMERABLE_QUORUMS = 200_000
+
+
+@dataclass(frozen=True)
+class MemberIndex:
+    """Quorum membership as read-only integer arrays.
+
+    ``quorum_ids[j]`` and ``elements[j]`` are the ``j``-th
+    ``(quorum, element)`` pair, listed quorum by quorum in the iteration
+    order of ``system.quorums`` and of each quorum's frozenset — the order
+    a ``for i, quorum in enumerate(quorums): for u in quorum`` loop visits
+    them, so accumulating over the pairs adds in that loop's order.
+
+    ``matrix`` is the same membership as a rectangular ``(m, k_max)``
+    element matrix: row ``i`` lists ``Q_i``'s elements, and a row shorter
+    than ``k_max`` is padded by repeating its own first element. A
+    repeated element never changes a max over the row or the set of nodes
+    the row touches, so gathers through ``matrix`` need no mask.
+    """
+
+    quorum_ids: np.ndarray
+    elements: np.ndarray
+    matrix: np.ndarray
+    universe_size: int
+
+    @classmethod
+    def of(
+        cls, quorums: tuple[frozenset[int], ...], universe_size: int
+    ) -> "MemberIndex":
+        sizes = np.fromiter(
+            (len(q) for q in quorums), dtype=np.intp, count=len(quorums)
+        )
+        n_pairs = int(sizes.sum())
+        elements = np.fromiter(
+            itertools.chain.from_iterable(quorums), dtype=np.intp, count=n_pairs
+        )
+        quorum_ids = np.repeat(np.arange(len(quorums), dtype=np.intp), sizes)
+        starts = np.cumsum(sizes) - sizes
+        slots = np.arange(n_pairs, dtype=np.intp) - starts[quorum_ids]
+        matrix = np.repeat(elements[starts, None], sizes.max(), axis=1)
+        matrix[quorum_ids, slots] = elements
+        for arr in (quorum_ids, elements, matrix):
+            arr.setflags(write=False)
+        return cls(
+            quorum_ids=quorum_ids,
+            elements=elements,
+            matrix=matrix,
+            universe_size=universe_size,
+        )
+
+    def element_loads(self, p: np.ndarray) -> np.ndarray:
+        """``load_p(u) = sum_{Q_i ni u} p_i`` for every element ``u``.
+
+        One ``bincount`` over the pairs; each element's terms are added in
+        pair order, the order of the quorum-by-quorum loop.
+        """
+        return np.bincount(
+            self.elements,
+            weights=p[self.quorum_ids],
+            minlength=self.universe_size,
+        )
 
 
 class QuorumSystem(ABC):
@@ -103,13 +167,16 @@ class QuorumSystem(ABC):
                         f"{sorted(a)} and {sorted(b)}"
                     )
 
-    def element_membership_counts(self) -> list[int]:
-        """For each element, the number of quorums containing it."""
-        counts = [0] * self.universe_size
-        for quorum in self.quorums:
-            for u in quorum:
-                counts[u] += 1
-        return counts
+    @cached_property
+    def member_index(self) -> MemberIndex:
+        """The ``(quorum, element)`` incidence of :attr:`quorums` as arrays.
+
+        Built once per system and shared by every placement of it, so a
+        search that places one system many times pays for it once.
+        Raises :class:`QuorumSystemError` for non-enumerable systems
+        (through :attr:`quorums`) before allocating anything.
+        """
+        return MemberIndex.of(self.quorums, self.universe_size)
 
     def __repr__(self) -> str:
         return (

@@ -51,11 +51,7 @@ def load_of_strategy(system: QuorumSystem, strategy: np.ndarray) -> float:
         )
     if np.any(p < -1e-12) or not np.isclose(p.sum(), 1.0, atol=1e-9):
         raise QuorumSystemError("strategy must be a probability distribution")
-    loads = np.zeros(system.universe_size)
-    for i, quorum in enumerate(system.quorums):
-        for u in quorum:
-            loads[u] += p[i]
-    return float(loads.max())
+    return float(system.member_index.element_loads(p).max())
 
 
 def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:
@@ -63,16 +59,19 @@ def _lp_optimal_load(system: QuorumSystem) -> LoadAnalysis:
     p = lp.add_block("p", system.num_quorums, lower=0.0, upper=1.0)
     z = lp.add_block("z", 1, lower=0.0)
     lp.set_objective(z.index(0), 1.0)
-    membership: dict[int, list[int]] = {u: [] for u in system.elements()}
-    for i, quorum in enumerate(system.quorums):
-        for u in quorum:
-            membership[u].append(i)
-    for u, quorum_ids in membership.items():
-        if not quorum_ids:
-            continue  # element in no quorum carries no load
-        cols = [p.index(i) for i in quorum_ids] + [z.index(0)]
-        vals = [1.0] * len(quorum_ids) + [-1.0]
-        lp.add_le(cols, vals, 0.0)
+    # One row per element in some quorum, in element order (an element in
+    # no quorum carries no load): its quorums' p entries, then -z.
+    members = system.member_index
+    covered, row_of = np.unique(members.elements, return_inverse=True)
+    n_rows, n_pairs = covered.size, members.elements.size
+    lp.add_le_many(
+        np.concatenate([row_of, np.arange(n_rows)]),
+        np.concatenate(
+            [p.offset + members.quorum_ids, np.full(n_rows, z.index(0))]
+        ),
+        np.concatenate([np.ones(n_pairs), np.full(n_rows, -1.0)]),
+        np.zeros(n_rows),
+    )
     lp.add_eq([p.index(i) for i in range(system.num_quorums)],
               [1.0] * system.num_quorums, 1.0)
     solution = solve(lp)

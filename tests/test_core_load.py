@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core.load import (
-    element_loads,
     node_loads,
     node_loads_for_client,
     node_loads_from_average_strategy,
 )
 from repro.core.placement import PlacedQuorumSystem, Placement
-from repro.errors import StrategyError
+from repro.errors import PlacementError
+from repro.placement.fractional import element_loads_of_strategy
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
+from quorum_oracles import element_loads_loop
 
 
 @pytest.fixture()
@@ -25,25 +26,33 @@ def grid2_placed(line_topology):
 class TestElementLoads:
     def test_uniform_grid_loads(self, grid2_placed):
         uniform = np.full(4, 0.25)
-        loads = element_loads(grid2_placed, uniform)
+        loads = element_loads_of_strategy(grid2_placed.system, uniform)
         # Each 2x2 grid element is in 3 of the 4 quorums.
         assert np.allclose(loads, 0.75)
 
     def test_point_mass_loads(self, grid2_placed):
         p = np.zeros(4)
         p[0] = 1.0  # quorum (0,0) = {0, 1, 2}
-        loads = element_loads(grid2_placed, p)
+        loads = element_loads_of_strategy(grid2_placed.system, p)
         assert np.allclose(loads, [1.0, 1.0, 1.0, 0.0])
 
     def test_wrong_shape_rejected(self, grid2_placed):
-        with pytest.raises(StrategyError):
-            element_loads(grid2_placed, np.full(3, 1 / 3))
+        with pytest.raises(PlacementError):
+            element_loads_of_strategy(grid2_placed.system, np.full(3, 1 / 3))
+
+    def test_bit_identical_to_loop(self):
+        system = GridQuorumSystem(5)
+        p = np.random.default_rng(3).dirichlet(np.ones(system.num_quorums))
+        assert np.array_equal(
+            element_loads_of_strategy(system, p),
+            element_loads_loop(system, p),
+        )
 
 
 class TestNodeLoads:
     def test_one_to_one_equals_element_loads(self, grid2_placed):
         uniform = np.full(4, 0.25)
-        eloads = element_loads(grid2_placed, uniform)
+        eloads = element_loads_of_strategy(grid2_placed.system, uniform)
         nloads = node_loads_for_client(grid2_placed, uniform)
         assert np.allclose(nloads[:4], eloads)
         assert np.allclose(nloads[4:], 0.0)

@@ -1,10 +1,13 @@
 """Tests for Placement and PlacedQuorumSystem."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.placement import PlacedQuorumSystem, Placement
-from repro.errors import PlacementError
+from repro.errors import PlacementError, QuorumSystemError
+from repro.network.graph import Topology
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.threshold import ThresholdQuorumSystem
 
@@ -136,3 +139,37 @@ class TestPlacedQuorumSystem:
         assert d.shape == (10, 3)
         assert d[0, 0] == pytest.approx(20.0)
         assert d[0, 2] == pytest.approx(60.0)
+
+
+class TestNonEnumerableFailsLoudly:
+    """A majority over 60 elements has C(60, 31) quorums: asking for its
+    enumerated structure must raise the tagged error before allocating."""
+
+    @pytest.fixture()
+    def majority60_placed(self):
+        xs = np.arange(60, dtype=np.float64)
+        topology = Topology(
+            np.abs(xs[:, None] - xs[None, :]), metric_closure=False
+        )
+        return PlacedQuorumSystem(
+            ThresholdQuorumSystem(60, 31), Placement(np.arange(60)), topology
+        )
+
+    @pytest.mark.parametrize(
+        "attribute",
+        ["delay_matrix", "incidence_counts", "incidence_indicator",
+         "placed_quorums"],
+    )
+    def test_raises_quorum_system_error(self, majority60_placed, attribute):
+        tracemalloc.start()
+        try:
+            with pytest.raises(QuorumSystemError):
+                getattr(majority60_placed, attribute)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_augmented_delay_raises(self, majority60_placed):
+        with pytest.raises(QuorumSystemError):
+            majority60_placed.augmented_delay_matrix(np.zeros(60))

@@ -9,7 +9,10 @@ These target the load-bearing mathematical properties:
 * response-time model monotonicity,
 * filtering/rounding invariants of the placement pipeline,
 * Q/U state: the cached latest candidate vs a full rescan, timestamp
-  order vs a tuple oracle, and pickle/copy of the slotted classes.
+  order vs a tuple oracle, and pickle/copy of the slotted classes,
+* the quorum structure of a placement (delay matrices, incidence, element
+  loads) vs brute-force per-quorum loops, on uneven quorums placed
+  many-to-one.
 """
 
 import copy
@@ -29,17 +32,26 @@ from repro.core.strategy import ExplicitStrategy
 from repro.network.generators import ClusterSpec, generate_cluster_topology
 from repro.network.graph import Topology
 from repro.placement.filtering import lin_vitter_filter
+from repro.placement.fractional import element_loads_of_strategy
 from repro.placement.gap import round_fractional_placement
 from repro.qu.messages import QUReply, QURequest
 from repro.qu.objects import Candidate, ReplicaHistory
 from repro.qu.timestamps import QUTimestamp
+from repro.quorums.base import EnumeratedQuorumSystem
 from repro.quorums.grid import GridQuorumSystem
+from repro.quorums.load_analysis import load_of_strategy
 from repro.quorums.order_stats import (
     expected_max_of_random_subset,
     max_order_statistic_pmf,
 )
 from repro.quorums.threshold import ThresholdQuorumSystem
 from repro.quorums.weighted import WeightedMajorityQuorumSystem
+from quorum_oracles import (
+    element_loads_loop,
+    incidence_counts_loop,
+    incidence_indicator_loop,
+    max_over_quorums_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +354,85 @@ def test_qu_state_survives_pickle_and_copy(candidate):
             assert clone == obj
     restored = pickle.loads(pickle.dumps(reply))
     assert restored.history.latest == candidate
+
+
+# ---------------------------------------------------------------------------
+# Quorum structure of a placement vs per-quorum loops
+# ---------------------------------------------------------------------------
+@st.composite
+def uneven_placed_systems(draw):
+    """An enumerated system with unequal quorum sizes, placed many-to-one.
+
+    Every quorum contains one shared ``core`` element, so any subsets
+    intersect; the assignment draws nodes with repetition.
+    """
+    n = draw(st.integers(min_value=2, max_value=9))
+    core = draw(st.integers(min_value=0, max_value=n - 1))
+    quorums = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    system = EnumeratedQuorumSystem(
+        [frozenset(q | {core}) for q in quorums], universe_size=n
+    )
+    n_nodes = draw(st.integers(min_value=1, max_value=7))
+    assignment = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=n_nodes - 1),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    rtt = np.triu(rng.integers(1, 200, (n_nodes, n_nodes)).astype(float), 1)
+    topology = Topology(rtt + rtt.T, metric_closure=False)
+    placed = PlacedQuorumSystem(system, Placement(assignment), topology)
+    return placed, rng
+
+
+@given(uneven_placed_systems())
+@settings(max_examples=80, deadline=None)
+def test_placed_structure_matches_loop_oracle(case):
+    placed, rng = case
+    system, n_nodes = placed.system, placed.n_nodes
+    assignment = placed.placement.assignment
+    rtt = placed.topology.rtt
+    costs = rng.uniform(0.0, 50.0, n_nodes)
+    drifted = rtt * rng.uniform(0.5, 1.5, (n_nodes, n_nodes))
+
+    assert np.array_equal(
+        placed.delay_matrix, max_over_quorums_loop(system, assignment, rtt)
+    )
+    assert np.array_equal(
+        placed.augmented_delay_matrix(costs),
+        max_over_quorums_loop(system, assignment, rtt + costs[None, :]),
+    )
+    assert np.array_equal(
+        placed.delay_matrix_for(drifted, costs),
+        max_over_quorums_loop(system, assignment, drifted + costs[None, :]),
+    )
+    assert np.array_equal(
+        placed.incidence_counts,
+        incidence_counts_loop(system, assignment, n_nodes),
+    )
+    assert np.array_equal(
+        placed.incidence_indicator,
+        incidence_indicator_loop(system, assignment, n_nodes),
+    )
+
+
+@given(uneven_placed_systems())
+@settings(max_examples=80, deadline=None)
+def test_element_loads_match_loop_oracle(case):
+    """Bit-identical, not approximately equal: the bincount adds each
+    element's terms in the loop's order."""
+    placed, rng = case
+    system = placed.system
+    p = rng.dirichlet(np.ones(system.num_quorums))
+    oracle = element_loads_loop(system, p)
+    assert np.array_equal(element_loads_of_strategy(system, p), oracle)
+    assert load_of_strategy(system, p) == float(oracle.max())

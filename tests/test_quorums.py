@@ -3,6 +3,7 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
 from repro.errors import QuorumSystemError
@@ -16,6 +17,7 @@ from repro.quorums.threshold import (
     majority_universe_sizes,
 )
 from repro.quorums.weighted import WeightedMajorityQuorumSystem
+from quorum_oracles import membership_counts_loop
 
 
 class TestEnumeratedBase:
@@ -47,7 +49,37 @@ class TestEnumeratedBase:
         qs = EnumeratedQuorumSystem(
             [frozenset({0, 1}), frozenset({1, 2})], name="pair"
         )
-        assert qs.element_membership_counts() == [1, 2, 1]
+        members = qs.member_index
+        counts = np.bincount(members.elements, minlength=3).tolist()
+        assert counts == membership_counts_loop(qs) == [1, 2, 1]
+
+
+class TestMemberIndex:
+    def test_pairs_follow_quorum_iteration_order(self):
+        qs = GridQuorumSystem(3)
+        members = qs.member_index
+        expected = [(i, u) for i, q in enumerate(qs.quorums) for u in q]
+        got = list(zip(members.quorum_ids.tolist(), members.elements.tolist()))
+        assert got == expected
+
+    def test_short_rows_pad_with_a_row_member(self):
+        quorums = [frozenset({0, 1, 2}), frozenset({2, 3}), frozenset({0, 3, 4})]
+        qs = EnumeratedQuorumSystem(quorums, name="uneven")
+        matrix = qs.member_index.matrix
+        assert matrix.shape == (3, 3)
+        for row, quorum in zip(matrix.tolist(), qs.quorums):
+            assert set(row) == set(quorum)
+
+    def test_cached_and_read_only(self):
+        qs = GridQuorumSystem(2)
+        members = qs.member_index
+        assert qs.member_index is members
+        with pytest.raises(ValueError):
+            members.elements[0] = 1
+
+    def test_non_enumerable_threshold_raises(self):
+        with pytest.raises(QuorumSystemError):
+            ThresholdQuorumSystem(60, 31).member_index
 
 
 class TestThreshold:
