@@ -316,6 +316,12 @@ def _cmd_dynamics(args) -> int:
         raise ReproError(
             f"--candidates must be >= 0, got {args.candidates}"
         )
+    # nan and inf pass a plain `< 0` test
+    if not (np.isfinite(args.simulate_rate) and args.simulate_rate >= 0):
+        raise ReproError(
+            "--simulate-rate must be a finite number >= 0, "
+            f"got {args.simulate_rate}"
+        )
     if args.noise is not None and not args.closed_loop:
         raise ReproError("--noise requires --closed-loop")
     if args.tune_thresholds is not None and not args.closed_loop:
@@ -353,7 +359,6 @@ def _cmd_dynamics(args) -> int:
                 trace,
                 thresholds=thresholds,
                 telemetry=telemetry,
-                mode=args.mode,
                 baseline_policies=("static",),
                 candidates=candidates,
                 runner=runner,
@@ -366,7 +371,6 @@ def _cmd_dynamics(args) -> int:
                 system,
                 trace,
                 policies=policies,
-                mode=args.mode,
                 candidates=candidates,
                 runner=runner,
                 telemetry=telemetry,
@@ -497,10 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SPECS",
                           help="comma-separated policy specs "
                           "(static, periodic:<k>, threshold:<x>)")
-    dynamics.add_argument("--mode", default="incremental",
-                          choices=["incremental", "cold"],
-                          help="re-optimize warm in place, or rebuild "
-                          "per re-optimization (the benchmark baseline)")
     dynamics.add_argument("--seed", type=int, default=7,
                           help="scenario generator seed")
     dynamics.add_argument("--candidates", type=int, default=0, metavar="N",

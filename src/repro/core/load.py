@@ -19,11 +19,7 @@ import numpy as np
 from repro.core.placement import PlacedQuorumSystem
 from repro.errors import StrategyError
 
-__all__ = [
-    "node_loads_for_client",
-    "node_loads",
-    "node_loads_from_average_strategy",
-]
+__all__ = ["node_loads"]
 
 
 def _check_strategy_matrix(placed: PlacedQuorumSystem, p: np.ndarray) -> np.ndarray:
@@ -38,15 +34,6 @@ def _check_strategy_matrix(placed: PlacedQuorumSystem, p: np.ndarray) -> np.ndar
     return matrix
 
 
-def node_loads_for_client(
-    placed: PlacedQuorumSystem, p_v: np.ndarray, coalesce: bool = False
-) -> np.ndarray:
-    """``load_{v,f}(w)`` for every node ``w``, for one client's strategy."""
-    matrix = _check_strategy_matrix(placed, p_v)
-    a = placed.incidence_indicator if coalesce else placed.incidence_counts
-    return (matrix @ a)[0]
-
-
 def node_loads(
     placed: PlacedQuorumSystem,
     strategy_matrix: np.ndarray,
@@ -57,21 +44,3 @@ def node_loads(
     a = placed.incidence_indicator if coalesce else placed.incidence_counts
     return matrix.mean(axis=0) @ a
 
-
-def node_loads_from_average_strategy(
-    placed: PlacedQuorumSystem,
-    average_strategy: np.ndarray,
-    coalesce: bool = False,
-) -> np.ndarray:
-    """Node loads induced by a single *global* strategy (all clients alike).
-
-    Used by the iterative algorithm, which feeds the placement phase the
-    average strategy ``avg({p_v})``.
-    """
-    p = np.asarray(average_strategy, dtype=np.float64)
-    if p.shape != (placed.num_quorums,):
-        raise StrategyError(
-            f"expected a strategy over {placed.num_quorums} quorums"
-        )
-    a = placed.incidence_indicator if coalesce else placed.incidence_counts
-    return p @ a

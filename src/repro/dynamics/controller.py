@@ -3,8 +3,8 @@
 Between two churn boundaries the placement is fixed, so everything an
 adaptation policy does is drive the access-strategy LP (4.3)-(4.6) of one
 :class:`~repro.core.placement.PlacedQuorumSystem` as the topology drifts
-under it. The :class:`AdaptiveController` exploits the batched LP backend
-end to end in its default ``incremental`` mode:
+under it. The :class:`AdaptiveController` keeps one warm program per
+segment and drives the batched LP backend end to end:
 
 * **capacity events** are pure RHS — a re-optimization is one anchored
   re-solve of the persistent warm program;
@@ -13,15 +13,13 @@ end to end in its default ``incremental`` mode:
   against the same warm model — the constraint system is RTT-free;
 * only the segment's *first* epoch pays an assembly.
 
-``cold`` mode is the baseline the benchmark measures against: every
-re-optimization assembles a fresh program and solves it cold, exactly what
-an implementation without the build-once/solve-many machinery would do.
-Both modes answer the same LPs, so their objectives agree within solver
-tolerance at every epoch (pinned by ``tests/test_dynamics.py``); within a
-mode, canonical (anchored) solves make the whole replay a pure function of
-its inputs — which is what lets :func:`~repro.dynamics.replay.replay`
-schedule segments over a :class:`~repro.runtime.runner.GridRunner` with
-``jobs=N`` bit-identical to ``jobs=1``.
+Its objectives agree within solver tolerance with a cold rebuild-per-epoch
+reference at every epoch (pinned by ``tests/test_dynamics.py``;
+``benchmarks/bench_dynamics.py`` measures the speedup over it). Canonical
+(anchored) solves make the whole replay a pure function of its inputs —
+which is what lets :func:`~repro.dynamics.replay.replay` schedule segments
+over a :class:`~repro.runtime.runner.GridRunner` with ``jobs=N``
+bit-identical to ``jobs=1``.
 
 Policy contract
 ---------------
@@ -40,7 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.placement import PlacedQuorumSystem, Placement
-from repro.core.strategy import ExplicitStrategy
 from repro.dynamics.events import effective_rtt
 from repro.dynamics.telemetry import (
     TelemetryConfig,
@@ -62,8 +59,6 @@ __all__ = [
     "parse_policy",
     "replay_segment",
 ]
-
-REPLAY_MODES = ("incremental", "cold")
 
 
 @dataclass(frozen=True)
@@ -238,12 +233,6 @@ class AdaptiveController:
         The segment's placed quorum system (over the member node space).
     policy:
         A policy object (see :func:`parse_policy`).
-    mode:
-        ``"incremental"`` keeps one warm program for the whole segment;
-        ``"cold"`` assembles and solves from scratch at every
-        re-optimization.
-    backend:
-        LP backend override, passed through to the programs.
     telemetry:
         A :class:`~repro.dynamics.telemetry.TelemetryConfig` switches the
         controller to **closed-loop** operation: every epoch it probes
@@ -259,18 +248,10 @@ class AdaptiveController:
         self,
         placed: PlacedQuorumSystem,
         policy: AdaptationPolicy,
-        mode: str = "incremental",
-        backend: str | None = None,
         telemetry: TelemetryConfig | None = None,
     ) -> None:
-        if mode not in REPLAY_MODES:
-            raise DynamicsError(
-                f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
-            )
         self.placed = placed
         self.policy = policy
-        self.mode = mode
-        self.backend = backend
         self.telemetry = telemetry
         self._program: StrategyProgram | None = None
         self._synced_delta: np.ndarray | None = None
@@ -282,21 +263,9 @@ class AdaptiveController:
         self, delta: np.ndarray, capacities: np.ndarray
     ) -> tuple[np.ndarray | None, int, int]:
         """One re-optimization; returns (matrix or None, solves, builds)."""
-        if self.mode == "cold":
-            program = StrategyProgram(
-                self.placed, backend=self.backend, delay_matrix=delta
-            )
-            # A single-variant batch is exactly one cold solve — no anchor
-            # calibration — which is what a from-scratch rebuild would pay.
-            strategy = program.solve_many([capacities])[0]
-            matrix = None if strategy is None else strategy.matrix
-            return matrix, program.lp_solves, 1
-
         builds = 0
         if self._program is None:
-            self._program = StrategyProgram(
-                self.placed, backend=self.backend, delay_matrix=delta
-            )
+            self._program = StrategyProgram(self.placed, delay_matrix=delta)
             self._synced_delta = delta
             builds = 1
         elif self._synced_delta is not delta:
@@ -446,8 +415,6 @@ def replay_segment(
     capacities: np.ndarray,
     rtt_changed: np.ndarray,
     policy: str,
-    mode: str = "incremental",
-    backend: str | None = None,
     telemetry: TelemetryConfig | None = None,
 ) -> SegmentSeries:
     """Module-level segment replay (picklable — the replay driver's grid
@@ -459,11 +426,7 @@ def replay_segment(
     """
     placed = PlacedQuorumSystem(system, Placement(assignment), topology)
     controller = AdaptiveController(
-        placed,
-        parse_policy(policy),
-        mode=mode,
-        backend=backend,
-        telemetry=telemetry,
+        placed, parse_policy(policy), telemetry=telemetry
     )
     with obs.span(
         "dynamics.segment",

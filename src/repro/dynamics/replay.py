@@ -16,11 +16,11 @@ same guarantees) the figure runners use:
    as the regret baseline.
 
 Every point carries a content cache key (topology/system fingerprints,
-the segment's event stacks, the policy spec, the replay mode, the LP
-backend), so repeated replays — or replays sharing segments — reuse
-results exactly like figure grid points do. Canonical LP solves make each
-point a pure function of its inputs, so ``jobs=N`` is bit-identical to
-``jobs=1`` (pinned by ``tests/test_dynamics.py``).
+the segment's event stacks, the policy spec, the LP backend), so repeated
+replays — or replays sharing segments — reuse results exactly like figure
+grid points do. Canonical LP solves make each point a pure function of its
+inputs, so ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
+``tests/test_dynamics.py``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.dynamics.controller import (
-    REPLAY_MODES,
     SegmentSeries,
     ThresholdPolicy,
     parse_policy,
@@ -70,6 +69,12 @@ CLAIRVOYANT = "clairvoyant"
 #: Per-segment telemetry seed stride: segment starts are < 100_003 epochs
 #: apart in any sane trace, so (segment, epoch) probe seeds never collide.
 _SEGMENT_SEED_STRIDE = 100_003
+
+#: Fixed workload of :func:`simulate_placements`: simulated span per
+#: segment, per-request service time, and the simulator backend.
+_SIMULATE_DURATION_MS = 2_000.0
+_SIMULATE_SERVICE_TIME_MS = 1.0
+_SIMULATE_BACKEND = "fluid"
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +154,6 @@ class DynamicsResult:
     series: dict[str, PolicySeries]
     segments: tuple[tuple[int, int], ...]
     placements: tuple[np.ndarray, ...]
-    mode: str
     metadata: dict = field(default_factory=dict)
 
     def regret(self, policy: str) -> np.ndarray:
@@ -187,7 +191,7 @@ class DynamicsResult:
         specs = list(self.series)
         lines = [
             f"== dynamics replay: {self.n_epochs} epochs, "
-            f"{len(self.segments)} segment(s), mode={self.mode} =="
+            f"{len(self.segments)} segment(s) =="
         ]
         for key, value in sorted(self.metadata.items()):
             lines.append(f"   {key}: {value}")
@@ -254,18 +258,15 @@ def simulate_placements(
     trace: ScenarioTrace,
     result: DynamicsResult,
     rate_per_ms: float = 0.5,
-    duration_ms: float = 2_000.0,
-    service_time_ms: float = 1.0,
     seed: int = 17,
-    backend: str = "fluid",
 ) -> tuple[dict, ...]:
     """Cross-check a replay's per-segment placements in the simulator.
 
     The replay's expected-delay series comes from the analytic response
     model; this runs each segment's placement through
     :class:`~repro.sim.generic.GenericQuorumSimulation` under an open-loop
-    Poisson workload — by default on the **fluid backend**, which makes
-    per-epoch policy evaluation cheap enough to run after every replay.
+    Poisson workload — on the **fluid backend**, which makes per-epoch
+    policy evaluation cheap enough to run after every replay.
     Returns one dict per segment (``segment``, ``mean_response_ms``,
     ``p95_response_ms``, ``operations``, plus the request-conservation
     counters).
@@ -277,7 +278,19 @@ def simulate_placements(
     the threshold-balanced sampler otherwise). Within-segment RTT drift
     and capacity events are the analytic series' territory; the simulator
     validates the placements, not the drift model.
+
+    ``result`` must be a replay of ``trace``: a result whose epoch count
+    or segments disagree with it raises :class:`DynamicsError` instead of
+    mapping its placements onto the wrong nodes.
     """
+    segments = tuple(trace.segments())
+    if result.n_epochs != trace.n_epochs or result.segments != segments:
+        raise DynamicsError(
+            f"result covers {result.n_epochs} epochs in segments "
+            f"{list(result.segments)}, but the trace has {trace.n_epochs} "
+            f"epochs in segments {list(segments)}; simulate_placements "
+            "needs the result of replaying this trace"
+        )
     from repro.core.placement import PlacedQuorumSystem, Placement
     from repro.core.strategy import (
         ExplicitStrategy,
@@ -288,7 +301,7 @@ def simulate_placements(
 
     states = trace.states(topology)
     rows: list[dict] = []
-    for index, (start, end) in enumerate(result.segments):
+    for index, (start, end) in enumerate(segments):
         up_nodes = states[start].up_nodes
         sub = topology.subtopology(up_nodes)
         # result.placements live in the global node space; map back into
@@ -304,14 +317,17 @@ def simulate_placements(
             placed,
             strategy,
             client_nodes=np.arange(sub.n_nodes),
-            service_time_ms=service_time_ms,
+            service_time_ms=_SIMULATE_SERVICE_TIME_MS,
             seed=seed + index,
             arrivals=PoissonArrivals(
                 rate_per_ms=rate_per_ms, seed=seed + 1000 + index
             ),
-            backend=backend,
+            backend=_SIMULATE_BACKEND,
         )
-        out = sim.run(duration_ms=duration_ms, warmup_ms=0.1 * duration_ms)
+        out = sim.run(
+            duration_ms=_SIMULATE_DURATION_MS,
+            warmup_ms=0.1 * _SIMULATE_DURATION_MS,
+        )
         rows.append(
             {
                 "segment": (start, end),
@@ -333,13 +349,11 @@ def replay(
     system: QuorumSystem,
     trace: ScenarioTrace,
     policies: Sequence[str] = ("static", "periodic:4", "threshold:0.05"),
-    mode: str = "incremental",
     include_clairvoyant: bool = True,
     candidates: object = None,
     runner: GridRunner | None = None,
     jobs: int | None = 1,
     cache: ResultCache | None = None,
-    backend: str | None = None,
     telemetry: TelemetryConfig | None = None,
 ) -> DynamicsResult:
     """Replay a scenario trace and measure how policies track the optimum.
@@ -356,9 +370,6 @@ def replay(
         Adaptation policy specs (see
         :func:`~repro.dynamics.controller.parse_policy`); duplicates
         collapse, order is preserved.
-    mode:
-        ``"incremental"`` (warm in-place re-optimization, the default) or
-        ``"cold"`` (rebuild per re-optimization — the benchmark baseline).
     include_clairvoyant:
         Add the per-epoch re-optimizer as the regret baseline (skipped if
         already among ``policies``).
@@ -385,10 +396,6 @@ def replay(
         start epoch, and the configuration is part of every segment
         point's cache key.
     """
-    if mode not in REPLAY_MODES:
-        raise DynamicsError(
-            f"unknown replay mode {mode!r}; choose from {REPLAY_MODES}"
-        )
     specs: list[str] = []
     for policy in policies:
         spec = parse_policy(policy).spec
@@ -499,8 +506,6 @@ def replay(
                     "capacities": caps,
                     "rtt_changed": changed,
                     "policy": "periodic:1" if spec == CLAIRVOYANT else spec,
-                    "mode": mode,
-                    "backend": backend,
                     "telemetry": point_telemetry,
                 }
                 points.append(
@@ -518,16 +523,13 @@ def replay(
                             "capacities": caps,
                             "rtt_changed": changed,
                             "policy": kwargs["policy"],
-                            "mode": mode,
                             "telemetry": None
                             if point_telemetry is None
                             else point_telemetry.fingerprint_components(),
                             # Tied optima may break differently per solver
                             # path; never serve one backend's vertices to
                             # the other.
-                            "lp_backend": lp_backend_name()
-                            if backend is None
-                            else backend,
+                            "lp_backend": lp_backend_name(),
                         },
                     )
                 )
@@ -568,11 +570,10 @@ def replay(
         series=series,
         segments=tuple(segments),
         placements=placements,
-        mode=mode,
         metadata={
             "system": system.name,
             "events": len(trace.events),
-            "lp_backend": lp_backend_name() if backend is None else backend,
+            "lp_backend": lp_backend_name(),
             "closed_loop": telemetry is not None,
             **(
                 {}
@@ -645,13 +646,9 @@ def tune_threshold(
     trace: ScenarioTrace,
     thresholds: Sequence[float] = (0.01, 0.02, 0.05, 0.1, 0.2),
     telemetry: TelemetryConfig | None = None,
-    mode: str = "incremental",
     baseline_policies: Sequence[str] = (),
     candidates: object = None,
     runner: GridRunner | None = None,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-    backend: str | None = None,
 ) -> ThresholdTuning:
     """Auto-tune the ``threshold:<x>`` policy over a replayed trace.
 
@@ -689,13 +686,9 @@ def tune_threshold(
         system,
         trace,
         policies=tuple(baseline_policies) + specs,
-        mode=mode,
         include_clairvoyant=True,
         candidates=candidates,
         runner=runner,
-        jobs=jobs,
-        cache=cache,
-        backend=backend,
         telemetry=telemetry,
     )
     mean_regret = {s: float(result.regret(s).mean()) for s in specs}

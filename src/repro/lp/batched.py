@@ -357,8 +357,6 @@ class BatchedProgram:
         #: Solver invocations so far (calibration included) — the cost
         #: accounting consumers like the dynamics controller report.
         self.solve_count = 0
-        #: In-place update calls (objective or row rewrites) so far.
-        self.update_count = 0
 
     @property
     def n_le_constraints(self) -> int:
@@ -434,7 +432,6 @@ class BatchedProgram:
             )
         self._arrays["c"][variables] = coefficients
         self._impl.update_objective(variables, coefficients)
-        self.update_count += 1
         obs.count("lp.update")
 
     def update_le_rows(
@@ -481,7 +478,6 @@ class BatchedProgram:
         self._impl.update_coefficients(
             np.repeat(rows, values.shape[1]), cols, values.ravel()
         )
-        self.update_count += 1
         obs.count("lp.update")
 
     def _check_rhs(self, b_ub: "np.ndarray | Sequence | None") -> np.ndarray | None:

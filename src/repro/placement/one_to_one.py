@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.placement import PlacedQuorumSystem, Placement
+from repro.core.placement import Placement
 from repro.errors import PlacementError
 from repro.network.graph import Topology
 from repro.quorums.base import QuorumSystem
@@ -143,15 +143,3 @@ def one_to_one_placement(
     ball = topology.ball(v0, n)
     return Placement(ball)
 
-
-def placed_one_to_one(
-    topology: Topology,
-    system: QuorumSystem,
-    v0: int,
-    respect_capacities: bool = True,
-) -> PlacedQuorumSystem:
-    """Convenience: build the placement and wrap it with system+topology."""
-    placement = one_to_one_placement(
-        topology, system, v0, respect_capacities=respect_capacities
-    )
-    return PlacedQuorumSystem(system, placement, topology)

@@ -119,10 +119,6 @@ class TopologyHandle:
     def names_offset(self) -> int:
         return self.rtt_bytes + self.n_nodes * 8
 
-    @property
-    def total_size(self) -> int:
-        return self.names_offset + self.names_size
-
 
 def _attach(handle: TopologyHandle) -> tuple[object, Topology]:
     """Attach the block and rehydrate a read-only, zero-copy topology."""

@@ -29,7 +29,7 @@ the backend covers with in-place row updates.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from repro.runtime.runner import in_worker, worker_memo
 __all__ = [
     "StrategyProgram",
     "optimize_access_strategies",
-    "optimize_access_strategies_many",
     "shared_strategy_program",
 ]
 
@@ -155,11 +154,6 @@ class StrategyProgram:
     def lp_solves(self) -> int:
         """Solver invocations so far (anchor calibrations included)."""
         return self._batched.solve_count
-
-    @property
-    def lp_updates(self) -> int:
-        """In-place objective rewrites applied so far."""
-        return self._batched.update_count
 
     @staticmethod
     def _check_delay_matrix(
@@ -314,18 +308,3 @@ def optimize_access_strategies(
     """
     return StrategyProgram(placed, coalesce=coalesce).solve(capacities)
 
-
-def optimize_access_strategies_many(
-    placed: PlacedQuorumSystem,
-    capacity_variants: Sequence[np.ndarray | float],
-    coalesce: bool = False,
-) -> list[ExplicitStrategy | None]:
-    """Solve LP (4.3)-(4.6) for many capacity vectors, assembling once.
-
-    The build-once/solve-many entry point behind the capacity sweeps:
-    returns one strategy per variant, with ``None`` marking infeasible
-    variants so callers can report what was dropped.
-    """
-    return StrategyProgram(placed, coalesce=coalesce).solve_many(
-        capacity_variants
-    )

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -109,6 +110,43 @@ class TestCommands:
         code = main(["dynamics", "--epochs", "4", "--candidates", "-3"])
         assert code == 1
         assert "candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate", ["-0.5", "nan", "inf"])
+    def test_dynamics_bad_simulate_rate_errors(self, capsys, rate):
+        code = main(["dynamics", "--epochs", "4", "--simulate-rate", rate])
+        assert code == 1
+        assert "--simulate-rate must be" in capsys.readouterr().err
+
+    def test_dynamics_simulate_rate_reports_each_segment(self, capsys):
+        code = main(
+            [
+                "dynamics", "--system", "grid:2", "--epochs", "4",
+                "--scenario", "partition-heal", "--candidates", "5",
+                "--policies", "static", "--simulate-rate", "0.5",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert (
+            "simulated segment placements (fluid backend, 0.5 ops/ms):"
+            in out
+        )
+        rows = re.findall(
+            r"epochs \[(\d+),(\d+)\): mean [\d.]+ ms, p95 [\d.]+ ms "
+            r"over (\d+) ops \((\d+) members\)",
+            out,
+        )
+        segments = [(int(a), int(b)) for a, b, _, _ in rows]
+        assert len(segments) > 1  # the partition splits the timeline
+        assert segments[0][0] == 0 and segments[-1][1] == 4
+        assert all(b == c for (_, b), (c, _) in zip(segments, segments[1:]))
+        assert all(int(ops) > 0 for _, _, ops, _ in rows)
+
+    def test_dynamics_mode_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["dynamics", "--mode", "cold"])
+        assert excinfo.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
     def test_dynamics_closed_loop(self, capsys):
         code = main(

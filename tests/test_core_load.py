@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.load import (
-    node_loads,
-    node_loads_for_client,
-    node_loads_from_average_strategy,
-)
+from repro.core.load import node_loads
 from repro.core.placement import PlacedQuorumSystem, Placement
 from repro.errors import PlacementError
 from repro.placement.fractional import element_loads_of_strategy
@@ -53,7 +49,7 @@ class TestNodeLoads:
     def test_one_to_one_equals_element_loads(self, grid2_placed):
         uniform = np.full(4, 0.25)
         eloads = element_loads_of_strategy(grid2_placed.system, uniform)
-        nloads = node_loads_for_client(grid2_placed, uniform)
+        nloads = node_loads(grid2_placed, uniform)
         assert np.allclose(nloads[:4], eloads)
         assert np.allclose(nloads[4:], 0.0)
 
@@ -62,7 +58,7 @@ class TestNodeLoads:
             GridQuorumSystem(2), Placement([0, 0, 1, 1]), line_topology
         )
         uniform = np.full(4, 0.25)
-        nloads = node_loads_for_client(placed, uniform)
+        nloads = node_loads(placed, uniform)
         # Node 0 hosts elements 0,1 (load .75 each) -> 1.5.
         assert nloads[0] == pytest.approx(1.5)
         assert nloads[1] == pytest.approx(1.5)
@@ -72,7 +68,7 @@ class TestNodeLoads:
             GridQuorumSystem(2), Placement([0, 0, 1, 1]), line_topology
         )
         uniform = np.full(4, 0.25)
-        nloads = node_loads_for_client(placed, uniform, coalesce=True)
+        nloads = node_loads(placed, uniform, coalesce=True)
         # Every quorum touches both nodes exactly once -> load 1 each.
         assert nloads[0] == pytest.approx(1.0)
         assert nloads[1] == pytest.approx(1.0)
@@ -90,10 +86,8 @@ class TestNodeLoads:
         rng = np.random.default_rng(0)
         profile = rng.dirichlet(np.ones(4), size=grid2_placed.n_nodes)
         via_profile = node_loads(grid2_placed, profile)
-        via_average = node_loads_from_average_strategy(
-            grid2_placed, profile.mean(axis=0)
-        )
-        assert np.allclose(via_profile, via_average)
+        via_average = node_loads(grid2_placed, profile.mean(axis=0))
+        assert np.array_equal(via_profile, via_average)
 
     def test_load_conservation(self, grid2_placed):
         """Total node load equals the expected accessed quorum size."""

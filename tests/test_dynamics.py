@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.dynamics.controller import (
+    AdaptiveController,
     PeriodicPolicy,
     StaticPolicy,
     ThresholdPolicy,
@@ -25,7 +26,7 @@ from repro.dynamics.events import (
     ScenarioTrace,
     effective_rtt,
 )
-from repro.dynamics.replay import CLAIRVOYANT, replay
+from repro.dynamics.replay import CLAIRVOYANT, replay, simulate_placements
 from repro.dynamics.scenarios import (
     combine,
     diurnal_scenario,
@@ -36,6 +37,7 @@ from repro.errors import DynamicsError
 from repro.quorums.grid import GridQuorumSystem
 from repro.runtime.cache import ResultCache
 from repro.runtime.runner import GridRunner
+from repro.strategies.lp_optimizer import StrategyProgram
 
 GRID = GridQuorumSystem(2)
 
@@ -47,6 +49,28 @@ BACKENDS = ["auto", "scipy"]
 def _force_backend(monkeypatch, backend_env: str) -> None:
     if backend_env == "scipy":
         monkeypatch.setenv("REPRO_LP_BACKEND", "scipy")
+
+
+def _cold_reoptimize(self, delta, capacities):
+    """Reference re-optimization: assemble a fresh program and solve it
+    cold, as a controller without the warm program would. A
+    single-variant batch is exactly one cold solve (no anchor
+    calibration)."""
+    program = StrategyProgram(self.placed, delay_matrix=delta)
+    strategy = program.solve_many([capacities])[0]
+    matrix = None if strategy is None else strategy.matrix
+    return matrix, program.lp_solves, 1
+
+
+def _warm_and_cold(monkeypatch, topology, trace, **kwargs):
+    """Replay ``trace`` with the controller, then again with every
+    re-optimization rebuilt cold. ``replay`` defaults to ``jobs=1`` and no
+    cache, so the patched run is inline and recomputes every point."""
+    warm = replay(topology, GRID, trace, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(AdaptiveController, "_reoptimize", _cold_reoptimize)
+        cold = replay(topology, GRID, trace, **kwargs)
+    return warm, cold
 
 
 def _mixed_trace(topology, n_epochs=6):
@@ -287,7 +311,7 @@ class TestPolicies:
         ]
         clair = result.series[CLAIRVOYANT]
         assert clair.reopt_count == 6
-        # single segment: exactly one assembly each under incremental mode
+        # single segment: exactly one assembly each (one warm program)
         assert int(clair.assemblies.sum()) == 1
 
     def test_regret_is_non_negative_under_drift_and_churn(
@@ -365,11 +389,6 @@ class TestPolicies:
 
 
 class TestReplayValidation:
-    def test_unknown_mode(self, clustered_topology):
-        trace = ScenarioTrace(clustered_topology.n_nodes, 2)
-        with pytest.raises(DynamicsError):
-            replay(clustered_topology, GRID, trace, mode="lukewarm")
-
     def test_needs_a_policy(self, clustered_topology):
         trace = ScenarioTrace(clustered_topology.n_nodes, 2)
         with pytest.raises(DynamicsError):
@@ -567,7 +586,7 @@ class TestIncrementalVsCold:
     series is exactly the per-epoch sequence of strategy-LP objectives —
     the every-epoch comparison the acceptance bar names. Policies that
     carry a strategy across epochs are compared at their re-optimization
-    epochs: between solves the two modes legitimately hold different
+    epochs: between solves the two runs legitimately hold different
     (equal-objective) vertices of degenerate optima, whose *evaluations*
     under later drifted delays may differ beyond solver tolerance.
     """
@@ -578,11 +597,13 @@ class TestIncrementalVsCold:
     ):
         _force_backend(monkeypatch, backend_env)
         trace = _mixed_trace(clustered_topology)
-        kwargs = dict(policies=(CLAIRVOYANT,), include_clairvoyant=False)
-        warm = replay(
-            clustered_topology, GRID, trace, mode="incremental", **kwargs
+        warm, cold = _warm_and_cold(
+            monkeypatch,
+            clustered_topology,
+            trace,
+            policies=(CLAIRVOYANT,),
+            include_clairvoyant=False,
         )
-        cold = replay(clustered_topology, GRID, trace, mode="cold", **kwargs)
         gap = np.abs(
             warm.series[CLAIRVOYANT].expected_delay
             - cold.series[CLAIRVOYANT].expected_delay
@@ -601,14 +622,13 @@ class TestIncrementalVsCold:
     ):
         _force_backend(monkeypatch, backend_env)
         trace = _mixed_trace(clustered_topology)
-        kwargs = dict(
+        warm, cold = _warm_and_cold(
+            monkeypatch,
+            clustered_topology,
+            trace,
             policies=("static", "periodic:2", "threshold:0.05"),
             include_clairvoyant=False,
         )
-        warm = replay(
-            clustered_topology, GRID, trace, mode="incremental", **kwargs
-        )
-        cold = replay(clustered_topology, GRID, trace, mode="cold", **kwargs)
         for spec in warm.series:
             a, b = warm.series[spec], cold.series[spec]
             assert np.array_equal(a.reoptimized, b.reoptimized)
@@ -618,3 +638,37 @@ class TestIncrementalVsCold:
                 a.expected_delay[solved] - b.expected_delay[solved]
             )
             assert gap.max() <= 1e-9
+
+
+class TestSimulatePlacements:
+    """The simulator cross-check of a replay's per-segment placements."""
+
+    def test_one_conserving_row_per_segment(self, clustered_topology):
+        trace = _mixed_trace(clustered_topology)
+        result = replay(clustered_topology, GRID, trace, policies=("static",))
+        rows = simulate_placements(clustered_topology, GRID, trace, result)
+        states = trace.states(clustered_topology)
+        assert [row["segment"] for row in rows] == trace.segments()
+        assert len(rows) == 3  # the churn out and back splits the trace
+        for row in rows:
+            start, _end = row["segment"]
+            assert row["members"] == states[start].up_nodes.size
+            assert row["requests_issued"] == (
+                row["requests_processed"]
+                + row["requests_dropped"]
+                + row["requests_in_flight"]
+            )
+            assert row["operations"] > 0
+        assert [row["members"] for row in rows] == [12, 11, 12]
+        assert simulate_placements(
+            clustered_topology, GRID, trace, result
+        ) == rows
+
+    def test_result_of_another_trace_rejected(self, clustered_topology):
+        trace = _mixed_trace(clustered_topology)
+        result = replay(clustered_topology, GRID, trace, policies=("static",))
+        churn_free = ScenarioTrace(clustered_topology.n_nodes, trace.n_epochs)
+        longer = _mixed_trace(clustered_topology, n_epochs=7)
+        for other in (churn_free, longer):
+            with pytest.raises(DynamicsError, match="replaying this trace"):
+                simulate_placements(clustered_topology, GRID, other, result)
