@@ -37,10 +37,10 @@ import numpy as np
 import pytest
 
 from _iterative_schedule import replay_family, solve_schedule
+from fractional_oracle import fractional_placement_loop
 from repro.obs.bench import BenchRecorder
 from repro.lp import lp_backend_name
 from repro.network.datasets import planetlab_50
-from repro.placement.fractional import fractional_placement_loop
 from repro.quorums.grid import GridQuorumSystem
 from repro.quorums.load_analysis import optimal_load
 from repro.strategies.capacity_sweep import capacity_levels

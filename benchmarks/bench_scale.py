@@ -166,9 +166,10 @@ def test_hierarchical_sweep_end_to_end(results_dir):
     topology = synthetic_wan(N_SITES)
     system = GridQuorumSystem(5)
 
-    started = time.perf_counter()
-    search = hierarchical_best_placement(topology, system, jobs=JOBS)
-    search_s = time.perf_counter() - started
+    with GridRunner(jobs=JOBS) as runner:
+        started = time.perf_counter()
+        search = hierarchical_best_placement(topology, system, runner=runner)
+        search_s = time.perf_counter() - started
 
     assert not search.exhaustive
     assert search.n_candidates < topology.n_nodes / 2

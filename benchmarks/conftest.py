@@ -14,11 +14,16 @@ figures).
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+# Test oracles (e.g. ``fractional_oracle``) live in ``tests/``; benchmarks
+# that measure against them import the same copy.
+sys.path.append(str(Path(__file__).parent.parent / "tests"))
 
 
 def full_grids_enabled() -> bool:

@@ -110,17 +110,12 @@ def _grid_kill_count(placed: PlacedQuorumSystem) -> int:
 def _generic_kill_count(placed: PlacedQuorumSystem) -> int:
     # Minimum hitting set over placed quorums == minimum set cover where
     # each node "covers" the quorums it intersects.
-    placed_quorums = placed.placed_quorums
-    m = len(placed_quorums)
-    nodes = placed.placement.support_set
+    incidence = placed.incidence_counts  # (quorums, nodes)
     covers = [
-        frozenset(
-            i for i, quorum_nodes in enumerate(placed_quorums)
-            if w in quorum_nodes
-        )
-        for w in nodes
+        frozenset(np.flatnonzero(incidence[:, w]).tolist())
+        for w in placed.placement.support_set
     ]
-    return _min_set_cover(m, covers)
+    return _min_set_cover(incidence.shape[0], covers)
 
 
 def min_nodes_to_disable(placed: PlacedQuorumSystem) -> int:

@@ -28,11 +28,11 @@ time. Subcommands::
 candidates for ``plan``, grid points for ``figure``) over worker
 processes; ``figure`` results are cached on disk by a content hash of
 their inputs unless ``--no-cache`` is given (``figure all`` regenerates
-every figure in id order against one cache). A figure run uses exactly
-one process pool no matter how deep the work nests: the same ``--jobs``
-value is threaded into each grid point's inner placement searches, which
-detect that they are already inside a worker and run inline. Results are
-identical for every ``--jobs`` value.
+every figure in id order against one cache). Each command opens exactly
+one process pool — one :class:`~repro.runtime.runner.GridRunner` that it
+hands to the library drivers — no matter how deep the work nests: the
+placement searches inside a grid point run inline in its worker. Results
+are identical for every ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -188,8 +188,10 @@ def _cmd_plan(args) -> int:
     system = parse_system(args.system)
     alpha = alpha_from_demand(args.demand)
 
-    if args.many_to_one is not None:
-        with GridRunner(jobs=args.jobs) as runner:
+    # The process owns the pool: one runner serves whichever placement
+    # search the flags select.
+    with GridRunner(jobs=args.jobs) as runner:
+        if args.many_to_one is not None:
             search = best_many_to_one_placement(
                 topology,
                 system,
@@ -197,32 +199,32 @@ def _cmd_plan(args) -> int:
                 candidates=np.argsort(topology.mean_distances())[:15],
                 runner=runner,
             )
-        placed = search.placed
-        placement_kind = f"many-to-one (cap {args.many_to_one})"
-        strategy, strategy_name = (
-            ExplicitStrategy.uniform(placed),
-            "balanced (many-to-one)",
-        )
-    elif args.hierarchical:
-        search = hierarchical_best_placement(
-            topology, system, jobs=args.jobs
-        )
-        placed = search.placed
-        placement_kind = (
-            "one-to-one (exhaustive search)"
-            if search.exhaustive
-            else "one-to-one (hierarchical, "
-            f"{search.n_candidates}/{search.n_sites} candidates)"
-        )
-        strategy, strategy_name = _pick_strategy(
-            placed, args.strategy, alpha
-        )
-    else:
-        placed = best_placement(topology, system, jobs=args.jobs).placed
-        placement_kind = "one-to-one"
-        strategy, strategy_name = _pick_strategy(
-            placed, args.strategy, alpha
-        )
+            placed = search.placed
+            placement_kind = f"many-to-one (cap {args.many_to_one})"
+            strategy, strategy_name = (
+                ExplicitStrategy.uniform(placed),
+                "balanced (many-to-one)",
+            )
+        elif args.hierarchical:
+            search = hierarchical_best_placement(
+                topology, system, runner=runner
+            )
+            placed = search.placed
+            placement_kind = (
+                "one-to-one (exhaustive search)"
+                if search.exhaustive
+                else "one-to-one (hierarchical, "
+                f"{search.n_candidates}/{search.n_sites} candidates)"
+            )
+            strategy, strategy_name = _pick_strategy(
+                placed, args.strategy, alpha
+            )
+        else:
+            placed = best_placement(topology, system, runner=runner).placed
+            placement_kind = "one-to-one"
+            strategy, strategy_name = _pick_strategy(
+                placed, args.strategy, alpha
+            )
 
     result = evaluate(placed, strategy, alpha=alpha)
 

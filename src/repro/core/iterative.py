@@ -44,7 +44,7 @@ from repro.network.graph import Topology
 from repro.placement.fractional import FractionalFamily
 from repro.placement.many_to_one import best_many_to_one_placement
 from repro.quorums.base import QuorumSystem
-from repro.runtime.runner import in_worker
+from repro.runtime.runner import GridRunner, in_worker
 from repro.strategies.lp_optimizer import (
     StrategyProgram,
     shared_strategy_program,
@@ -95,7 +95,7 @@ def iterative_optimize(
     max_iterations: int = 10,
     candidates: object = None,
     coalesce: bool = False,
-    runner: object = None,
+    runner: GridRunner | None = None,
     family: FractionalFamily | None = None,
 ) -> IterativeResult:
     """Run the iterative algorithm until response time stops improving.
@@ -113,15 +113,14 @@ def iterative_optimize(
     max_iterations:
         Safety bound; the paper observes most runs stop after one iteration.
     runner:
-        A shared :class:`~repro.runtime.runner.GridRunner`; when it would
+        The caller's :class:`~repro.runtime.runner.GridRunner`; when it would
         dispatch to worker processes, each iteration's candidate searches
         fan out over its pool, and every worker keeps its own assembled
         fractional family in the worker-local program cache — later
         iterations re-solve warm instead of rebuilding cold per task.
         Canonical (anchored) LP solves keep the outcome bit-identical to
         the serial family path for any worker count. Inside one of its
-        workers, or serial, the runner is a no-op and the family below is
-        used instead.
+        workers, serial, or ``None``, the family below is used instead.
     family:
         A :class:`~repro.placement.fractional.FractionalFamily` to reuse
         across *calls* (e.g. a capacity sweep over one
@@ -141,11 +140,7 @@ def iterative_optimize(
             if candidates is None
             else np.atleast_1d(np.asarray(candidates)).size
         )
-        if (
-            runner is None
-            or not getattr(runner, "parallel", False)
-            or n_candidates <= 1
-        ):
+        if runner is None or not runner.parallel or n_candidates <= 1:
             family = FractionalFamily(topology, system)
     cap0 = np.asarray(capacities, dtype=np.float64)
     if cap0.ndim == 0:

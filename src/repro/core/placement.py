@@ -135,15 +135,6 @@ class PlacedQuorumSystem:
         return isinstance(self.system, ThresholdQuorumSystem)
 
     @cached_property
-    def placed_quorums(self) -> list[np.ndarray]:
-        """For each quorum ``Q_i``, the distinct nodes of ``f(Q_i)``.
-
-        Requires an enumerable system.
-        """
-        nodes = self.placement.assignment[self.system.member_index.matrix]
-        return [np.unique(row) for row in nodes]
-
-    @cached_property
     def incidence_counts(self) -> np.ndarray:
         """``A[i, w]`` = number of elements of ``Q_i`` placed on node ``w``.
 
@@ -228,11 +219,6 @@ class PlacedQuorumSystem:
                 )
             values = values + costs[None, :]
         return self._max_over_quorums(values)
-
-    def quorum_delay(self, client: int, quorum_index: int) -> float:
-        """Network delay ``delta_f(v, Q_i)`` for one client/quorum pair."""
-        nodes = self.placed_quorums[quorum_index]
-        return float(self.topology.rtt[client, nodes].max())
 
     @cached_property
     def support_distances(self) -> np.ndarray:

@@ -25,7 +25,6 @@ inputs, so ``jobs=N`` is bit-identical to ``jobs=1`` (pinned by
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -46,12 +45,11 @@ from repro.obs import tracer as obs
 from repro.placement.search import best_placement
 from repro.quorums.base import QuorumSystem
 from repro.runtime.cache import (  # cache-key-input
-    ResultCache,
     system_fingerprint,
     topology_fingerprint,
 )
 from repro.runtime.grid import GridPoint
-from repro.runtime.runner import GridRunner, shared_runner
+from repro.runtime.runner import GridRunner
 
 __all__ = [
     "CLAIRVOYANT",
@@ -352,8 +350,6 @@ def replay(
     include_clairvoyant: bool = True,
     candidates: object = None,
     runner: GridRunner | None = None,
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
     telemetry: TelemetryConfig | None = None,
 ) -> DynamicsResult:
     """Replay a scenario trace and measure how policies track the optimum.
@@ -378,13 +374,10 @@ def replay(
         search (intersected with the members; the paper's recipe searches
         every node).
     runner:
-        A shared :class:`~repro.runtime.runner.GridRunner`. Without one,
-        a runner with ``jobs`` workers and ``cache`` attached is created
-        for this call. With one, its worker count is authoritative —
-        passing a non-default ``jobs`` alongside it raises — and
-        ``cache`` is attached to it for the duration of the call (a
-        runner already carrying a *different* cache raises), the same
-        conflict contract as ``run_figure``.
+        The :class:`~repro.runtime.runner.GridRunner` that evaluates the
+        placement and segment points, with its worker count and cache;
+        the caller owns (and closes) it. ``None`` runs them serially
+        with no cache.
     telemetry:
         A :class:`~repro.dynamics.telemetry.TelemetryConfig` runs every
         policy **closed-loop**: decisions are made from simulated-probe
@@ -419,122 +412,117 @@ def replay(
         None if candidates is None else np.asarray(candidates, dtype=np.intp)
     )
 
-    with ExitStack() as stack:
-        if runner is None:
-            runner = stack.enter_context(GridRunner(jobs=jobs, cache=cache))
+    if runner is None:
+        runner = GridRunner()
+    # Phase 1 — one placement per fixed-membership segment. A replay
+    # of the same trace (or another trace sharing a member set) hits
+    # the cache instead of re-running the search.
+    placement_points = []
+    for index, (start, _end) in enumerate(segments):
+        up_nodes = states[start].up_nodes
+        if candidate_arr is None:
+            cand_sub = None
         else:
-            runner = stack.enter_context(
-                shared_runner(runner, jobs=jobs, cache=cache)
+            # Map surviving global candidates into the sub node space.
+            mask = np.isin(up_nodes, candidate_arr)
+            cand_sub = np.flatnonzero(mask)
+            if cand_sub.size == 0:
+                cand_sub = None  # all candidates churned out: search all
+        placement_points.append(
+            GridPoint(
+                tag=index,
+                fn=_segment_placement,
+                kwargs={
+                    "topology": topology,
+                    "system": system,
+                    "up_nodes": up_nodes,
+                    "candidates": cand_sub,
+                },
+                cache_key={
+                    "figure_point": "dynamics_placement",
+                    "topology": topo_fp,
+                    "system": sys_fp,
+                    "up_nodes": up_nodes,
+                    "candidates": cand_sub,
+                },
             )
-        # Phase 1 — one placement per fixed-membership segment. A replay
-        # of the same trace (or another trace sharing a member set) hits
-        # the cache instead of re-running the search.
-        placement_points = []
-        for index, (start, _end) in enumerate(segments):
-            up_nodes = states[start].up_nodes
-            if candidate_arr is None:
-                cand_sub = None
-            else:
-                # Map surviving global candidates into the sub node space.
-                mask = np.isin(up_nodes, candidate_arr)
-                cand_sub = np.flatnonzero(mask)
-                if cand_sub.size == 0:
-                    cand_sub = None  # all candidates churned out: search all
-            placement_points.append(
+        )
+    with obs.span(
+        "dynamics.placements", segments=len(segments)
+    ):
+        placement_results = runner.run(placement_points)
+    sub_assignments = [
+        placement_results[index] for index in range(len(segments))
+    ]
+
+    # Phase 2 — one replay point per (policy, segment).
+    points = []
+    sub_topologies = []
+    for index, (start, end) in enumerate(segments):
+        up_nodes = states[start].up_nodes
+        sub_topologies.append(topology.subtopology(up_nodes))
+        factors = np.stack(
+            [states[t].rtt_factors[up_nodes] for t in range(start, end)]
+        )
+        caps = np.stack(
+            [states[t].capacities[up_nodes] for t in range(start, end)]
+        )
+        changed = np.array(
+            [states[t].rtt_changed for t in range(start, end)]
+        )
+        changed[0] = True  # segment entry always initializes
+        seg_telemetry = (
+            None
+            if telemetry is None
+            else replace(
+                telemetry,
+                seed=telemetry.seed + _SEGMENT_SEED_STRIDE * start,
+            )
+        )
+        for spec in specs:
+            # The clairvoyant baseline stays oracle even in
+            # closed-loop replays: regret is defined against the
+            # true-information optimum.
+            point_telemetry = (
+                None if spec == CLAIRVOYANT else seg_telemetry
+            )
+            kwargs = {
+                "topology": sub_topologies[index],
+                "system": system,
+                "assignment": sub_assignments[index],
+                "rtt_factors": factors,
+                "capacities": caps,
+                "rtt_changed": changed,
+                "policy": "periodic:1" if spec == CLAIRVOYANT else spec,
+                "telemetry": point_telemetry,
+            }
+            points.append(
                 GridPoint(
-                    tag=index,
-                    fn=_segment_placement,
-                    kwargs={
-                        "topology": topology,
-                        "system": system,
-                        "up_nodes": up_nodes,
-                        "candidates": cand_sub,
-                    },
+                    tag=(spec, index),
+                    fn=replay_segment,
+                    kwargs=kwargs,
                     cache_key={
-                        "figure_point": "dynamics_placement",
+                        "figure_point": "dynamics_segment",
                         "topology": topo_fp,
                         "system": sys_fp,
                         "up_nodes": up_nodes,
-                        "candidates": cand_sub,
+                        "assignment": sub_assignments[index],
+                        "rtt_factors": factors,
+                        "capacities": caps,
+                        "rtt_changed": changed,
+                        "policy": kwargs["policy"],
+                        "telemetry": None
+                        if point_telemetry is None
+                        else point_telemetry.fingerprint_components(),
+                        # Tied optima may break differently per solver
+                        # path; never serve one backend's vertices to
+                        # the other.
+                        "lp_backend": lp_backend_name(),
                     },
                 )
             )
-        with obs.span(
-            "dynamics.placements", segments=len(segments)
-        ):
-            placement_results = runner.run(placement_points)
-        sub_assignments = [
-            placement_results[index] for index in range(len(segments))
-        ]
-
-        # Phase 2 — one replay point per (policy, segment).
-        points = []
-        sub_topologies = []
-        for index, (start, end) in enumerate(segments):
-            up_nodes = states[start].up_nodes
-            sub_topologies.append(topology.subtopology(up_nodes))
-            factors = np.stack(
-                [states[t].rtt_factors[up_nodes] for t in range(start, end)]
-            )
-            caps = np.stack(
-                [states[t].capacities[up_nodes] for t in range(start, end)]
-            )
-            changed = np.array(
-                [states[t].rtt_changed for t in range(start, end)]
-            )
-            changed[0] = True  # segment entry always initializes
-            seg_telemetry = (
-                None
-                if telemetry is None
-                else replace(
-                    telemetry,
-                    seed=telemetry.seed + _SEGMENT_SEED_STRIDE * start,
-                )
-            )
-            for spec in specs:
-                # The clairvoyant baseline stays oracle even in
-                # closed-loop replays: regret is defined against the
-                # true-information optimum.
-                point_telemetry = (
-                    None if spec == CLAIRVOYANT else seg_telemetry
-                )
-                kwargs = {
-                    "topology": sub_topologies[index],
-                    "system": system,
-                    "assignment": sub_assignments[index],
-                    "rtt_factors": factors,
-                    "capacities": caps,
-                    "rtt_changed": changed,
-                    "policy": "periodic:1" if spec == CLAIRVOYANT else spec,
-                    "telemetry": point_telemetry,
-                }
-                points.append(
-                    GridPoint(
-                        tag=(spec, index),
-                        fn=replay_segment,
-                        kwargs=kwargs,
-                        cache_key={
-                            "figure_point": "dynamics_segment",
-                            "topology": topo_fp,
-                            "system": sys_fp,
-                            "up_nodes": up_nodes,
-                            "assignment": sub_assignments[index],
-                            "rtt_factors": factors,
-                            "capacities": caps,
-                            "rtt_changed": changed,
-                            "policy": kwargs["policy"],
-                            "telemetry": None
-                            if point_telemetry is None
-                            else point_telemetry.fingerprint_components(),
-                            # Tied optima may break differently per solver
-                            # path; never serve one backend's vertices to
-                            # the other.
-                            "lp_backend": lp_backend_name(),
-                        },
-                    )
-                )
-        with obs.span("dynamics.replays", points=len(points)):
-            results = runner.run(points)
+    with obs.span("dynamics.replays", points=len(points)):
+        results = runner.run(points)
 
     series: dict[str, PolicySeries] = {}
     for spec in specs:

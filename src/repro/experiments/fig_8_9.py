@@ -15,11 +15,11 @@ program per placement, and the placement phase threads one
 candidate's fractional LP is assembled once and re-solved warm.
 
 ``--jobs N`` uses exactly one process pool for the whole figure: the
-outer :class:`~repro.runtime.runner.GridRunner` fans the capacity levels
-out over its workers, and the runner each point threads through its inner
-best-placement searches detects that it is already inside a worker and
-runs inline — runners nest, pools do not. Results are bit-identical to
-``jobs=1`` (pinned by ``tests/test_runtime.py``).
+caller's :class:`~repro.runtime.runner.GridRunner` fans the capacity
+levels out over its workers, and each point runs its inner best-placement
+searches serially — inside a worker, or inline when the figure itself is
+serial. Results are bit-identical to ``jobs=1`` (pinned by
+``tests/test_runtime.py``).
 """
 
 from __future__ import annotations
@@ -42,11 +42,8 @@ from repro.strategies.capacity_sweep import capacity_levels
 __all__ = ["run", "grid_spec"]
 
 
-def _one_to_one_delay(topology: Topology, k: int, jobs: int = 1) -> float:
-    with GridRunner(jobs=jobs) as runner:
-        placed = best_placement(
-            topology, GridQuorumSystem(k), runner=runner
-        ).placed
+def _one_to_one_delay(topology: Topology, k: int) -> float:
+    placed = best_placement(topology, GridQuorumSystem(k)).placed
     return evaluate(
         placed, uniform_strategy_for(placed)
     ).avg_network_delay
@@ -57,19 +54,16 @@ def _iterative_point(
     k: int,
     capacity: float,
     candidates: object,
-    jobs: int = 1,
 ) -> tuple[float, float]:
     """(iteration-1 delay, iteration-2 delay) for one capacity level."""
-    with GridRunner(jobs=jobs) as runner:
-        result = iterative_optimize(
-            topology,
-            GridQuorumSystem(k),
-            capacities=capacity,
-            alpha=0.0,
-            candidates=candidates,
-            max_iterations=3,
-            runner=runner,
-        )
+    result = iterative_optimize(
+        topology,
+        GridQuorumSystem(k),
+        capacities=capacity,
+        alpha=0.0,
+        candidates=candidates,
+        max_iterations=3,
+    )
     history = result.history
     first = history[0].phase2_network_delay
     second = (
@@ -84,14 +78,8 @@ def grid_spec(
     k: int = 5,
     capacity_steps: int | None = None,
     candidates: object = None,
-    jobs: int = 1,
 ) -> GridSpec:
-    """Declare Figure 8.9's grid: one point per capacity level + baseline.
-
-    ``jobs`` is threaded into each point's inner placement searches; it
-    never reaches the cache keys because results are identical for any
-    worker count.
-    """
+    """Declare Figure 8.9's grid: one point per capacity level + baseline."""
     capacity_steps = capacity_steps or (4 if fast else 10)
     system = GridQuorumSystem(k)
 
@@ -113,7 +101,7 @@ def grid_spec(
         GridPoint(
             tag="one-to-one",
             fn=_one_to_one_delay,
-            kwargs={"topology": topology, "k": k, "jobs": jobs},
+            kwargs={"topology": topology, "k": k},
             cache_key={
                 "figure_point": "one_to_one_netdelay",
                 "topology": topo_fp,
@@ -131,7 +119,6 @@ def grid_spec(
                     "k": k,
                     "capacity": capacity,
                     "candidates": candidate_arr,
-                    "jobs": jobs,
                 },
                 cache_key={
                     "figure_point": "iterative_netdelay",
@@ -190,6 +177,5 @@ def run(
         k=k,
         capacity_steps=capacity_steps,
         candidates=candidates,
-        jobs=runner.jobs,
     )
     return spec.assemble(runner.run(spec.points))

@@ -29,7 +29,7 @@ from repro.experiments import (
 from repro.experiments.series import FigureResult
 from repro.obs import tracer as obs
 from repro.runtime.cache import ResultCache
-from repro.runtime.runner import GridRunner, shared_runner
+from repro.runtime.runner import GridRunner
 
 __all__ = ["FIGURES", "run_figure"]
 
@@ -64,17 +64,9 @@ def run_figure(
     (``None``/``0`` = all cores); ``cache`` reuses previously computed
     points keyed by content hash. Results are identical regardless of
     either setting. The runner created here is the figure's *only*
-    process pool — runners threaded through inner searches (e.g.
-    ``fig_8_9``'s candidate loops) run inline inside its workers — and is
-    shut down when the figure completes; pass ``runner=`` to share one
-    across figures instead.
-
-    With a shared ``runner``, its worker count is authoritative: passing
-    a non-default ``jobs`` alongside it raises (the value would be
-    silently ignored otherwise). ``cache`` *is* honored — it is attached
-    to the runner for the duration of the call and detached afterwards —
-    unless the runner already carries a different cache, which is an
-    equally silent conflict and also raises.
+    process pool — inner candidate searches (e.g. ``fig_8_9``'s) run
+    serially inside its workers — and is shut down when the figure
+    completes.
     """
     try:
         runner_fn = FIGURES[figure_id]
@@ -82,28 +74,14 @@ def run_figure(
         raise ReproError(
             f"unknown figure {figure_id!r}; available: {sorted(FIGURES)}"
         ) from None
-    # An explicit runner=None means "no shared runner", not a conflict:
-    # fall through and build one honoring jobs/cache.
-    runner = kwargs.pop("runner", None)
+    before = cache.stats() if cache is not None else None
     with obs.span("figure", figure_id=figure_id, fast=fast):
-        if runner is not None:
-            with shared_runner(runner, jobs=jobs, cache=cache):
-                active_cache = runner.cache
-                before = (
-                    active_cache.stats()
-                    if active_cache is not None
-                    else None
-                )
-                result = runner_fn(fast=fast, runner=runner, **kwargs)
-        else:
-            before = cache.stats() if cache is not None else None
-            active_cache = cache
-            with GridRunner(jobs=jobs, cache=cache) as runner:
-                result = runner_fn(fast=fast, runner=runner, **kwargs)
-    if active_cache is not None and before is not None:
-        after = active_cache.stats()
-        # This run's cache effectiveness — a delta, so shared caches and
-        # shared runners report only what this figure contributed.
+        with GridRunner(jobs=jobs, cache=cache) as runner:
+            result = runner_fn(fast=fast, runner=runner, **kwargs)
+    if cache is not None and before is not None:
+        after = cache.stats()
+        # This run's cache effectiveness — a delta, so a cache shared
+        # across figures reports only what this figure contributed.
         result.metadata["cache"] = {
             name: after[name] - before[name] for name in after
         }

@@ -43,10 +43,9 @@ right-hand side move. The batched entry points exploit exactly that split:
   vectors as pure RHS variants in ascending order (un-permuted),
   returning ``None`` for infeasible ones.
 * :func:`fractional_placement` — the one-shot wrapper (builds a program,
-  solves once). :func:`fractional_placement_loop` keeps the original
-  row-by-row assembly and cold solve as the reference implementation —
-  the pipeline never calls it; the batched path is pinned
-  matrix-identical and objective-equivalent to it by
+  solves once). The original row-by-row assembly and cold solve lives on
+  as the test oracle ``tests/fractional_oracle.py``; the batched path is
+  pinned matrix-identical and objective-equivalent to it by
   ``tests/test_fractional_batched.py``.
 """
 
@@ -57,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PlacementError
-from repro.lp import BatchedProgram, LinearProgram, solve
+from repro.lp import BatchedProgram, LinearProgram
 from repro.network.graph import Topology
 from repro.obs import tracer as obs
 from repro.quorums.base import QuorumSystem
@@ -68,7 +67,6 @@ __all__ = [
     "FractionalProgram",
     "element_loads_of_strategy",
     "fractional_placement",
-    "fractional_placement_loop",
 ]
 
 
@@ -465,57 +463,3 @@ def fractional_placement(
     return FractionalProgram(
         topology, system, v0, capacities=capacities, strategy=strategy
     ).solve()
-
-
-def fractional_placement_loop(
-    topology: Topology,
-    system: QuorumSystem,
-    v0: int,
-    capacities: np.ndarray | None = None,
-    strategy: np.ndarray | None = None,
-) -> FractionalPlacement:
-    """Row-by-row reference implementation of :func:`fractional_placement`.
-
-    Assembles the LP one constraint at a time and solves it cold — the
-    shape of the code before the batched path existed. Kept as the
-    equivalence baseline: ``tests/test_fractional_batched.py`` pins the
-    batched path matrix-identical and objective-equivalent (1e-9) to this
-    one, and ``benchmarks/bench_fractional_lp.py`` measures the speedup
-    against it.
-    """
-    _validate_inputs(topology, system, v0)
-    n = system.universe_size
-    n_nodes = topology.n_nodes
-    m = system.num_quorums
-    caps = _normalize_capacities(topology, capacities)
-    p = _normalize_strategy(system, strategy)
-    loads = element_loads_of_strategy(system, p)
-    dist = topology.distances_from(v0)
-
-    lp = LinearProgram()
-    x = lp.add_block("x", (n, n_nodes), lower=0.0, upper=1.0)
-    z = lp.add_block("z", m, lower=0.0)
-    for i in range(m):
-        lp.set_objective(z.index(i), float(p[i]))
-
-    node_cols = list(range(n_nodes))
-    dist_vals = dist.tolist()
-    for i, quorum in enumerate(system.quorums):
-        for u in quorum:
-            cols = [x.index(u, w) for w in node_cols] + [z.index(i)]
-            vals = dist_vals + [-1.0]
-            lp.add_le(cols, vals, 0.0)
-    for u in range(n):
-        lp.add_eq([x.index(u, w) for w in node_cols], [1.0] * n_nodes, 1.0)
-    for w in range(n_nodes):
-        cols = [x.index(u, w) for u in range(n)]
-        lp.add_le(cols, loads.tolist(), float(caps[w]))
-
-    solution = solve(lp)
-    return FractionalPlacement(
-        v0=v0,
-        x=solution.block_values(lp, "x"),
-        quorum_delays=solution.block_values(lp, "z"),
-        objective=solution.objective,
-        element_loads=loads,
-    )

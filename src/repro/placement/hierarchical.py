@@ -30,7 +30,7 @@ regression-bounded in ``tests/test_hierarchical.py``.
 
 Candidate evaluations fan out through the same :class:`~repro.runtime.
 runner.GridRunner` + shared-memory machinery as the exhaustive search, so
-``jobs=N`` stays bit-identical to ``jobs=1``.
+any worker count stays bit-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def hierarchical_best_placement(
     n_clusters: int | None = None,
     refine_top: int = 3,
     exact_threshold: int = 200,
-    jobs: int = 1,
     runner: GridRunner | None = None,
 ) -> HierarchicalSearchResult:
     """Best one-to-one placement via cluster -> coarse -> refine.
@@ -204,10 +203,10 @@ def hierarchical_best_placement(
         Below this many sites the search *is* the exhaustive
         ``best_placement`` (marked ``exhaustive=True`` in the result) —
         the exactness pin for paper-scale topologies.
-    jobs, runner:
-        Candidate-evaluation parallelism, exactly as in
-        ``best_placement``; both stages reuse one runner (and publish the
-        topology to shared memory once).
+    runner:
+        The caller's runner for candidate evaluations, exactly as in
+        ``best_placement`` (``None`` runs them serially); both stages
+        reuse it (and publish the topology to shared memory once).
     """
     n = topology.n_nodes
     if refine_top < 1:
@@ -217,73 +216,66 @@ def hierarchical_best_placement(
             f"exact_threshold must be >= 0, got {exact_threshold}"
         )
 
-    own_runner: GridRunner | None = None
-    if runner is None and jobs != 1:
-        runner = own_runner = GridRunner(jobs=jobs)
-    try:
-        if n <= exact_threshold:
-            result = best_placement(
-                topology,
-                system,
-                clients=clients,
-                respect_capacities=respect_capacities,
-                runner=runner,
-            )
-            return _wrap(result, n, True, (), ())
-
-        if n_clusters is None:
-            n_clusters = max(2, round(n**0.5))
-        model = cluster_sites(topology, n_clusters)
-
-        coarse = best_placement(
+    if n <= exact_threshold:
+        result = best_placement(
             topology,
             system,
-            candidates=model.medoids,
             clients=clients,
             respect_capacities=respect_capacities,
             runner=runner,
         )
-        # Rank clusters by their medoid's delay; medoids whose placement
-        # was infeasible rank last. Ties break on cluster index.
-        order = sorted(
-            range(model.n_clusters),
-            key=lambda i: (
-                coarse.delays_by_candidate.get(
-                    int(model.medoids[i]), np.inf
-                ),
-                i,
+        return _wrap(result, n, True, (), ())
+
+    if n_clusters is None:
+        n_clusters = max(2, round(n**0.5))
+    model = cluster_sites(topology, n_clusters)
+
+    coarse = best_placement(
+        topology,
+        system,
+        candidates=model.medoids,
+        clients=clients,
+        respect_capacities=respect_capacities,
+        runner=runner,
+    )
+    # Rank clusters by their medoid's delay; medoids whose placement
+    # was infeasible rank last. Ties break on cluster index.
+    order = sorted(
+        range(model.n_clusters),
+        key=lambda i: (
+            coarse.delays_by_candidate.get(
+                int(model.medoids[i]), np.inf
             ),
-        )
-        top = order[: refine_top]
+            i,
+        ),
+    )
+    top = order[: refine_top]
 
-        # Refined pool: every medoid (so the coarse winner survives),
-        # then the members of the best clusters in rank order. Dedup
-        # preserves first occurrence, keeping the scan order — and
-        # therefore the first-minimum tie-break — deterministic.
-        pool: list[int] = [int(m) for m in model.medoids]
-        seen = set(pool)
-        for i in top:
-            for node in model.clusters[i]:
-                node = int(node)
-                if node not in seen:
-                    seen.add(node)
-                    pool.append(node)
+    # Refined pool: every medoid (so the coarse winner survives),
+    # then the members of the best clusters in rank order. Dedup
+    # preserves first occurrence, keeping the scan order — and
+    # therefore the first-minimum tie-break — deterministic.
+    pool: list[int] = [int(m) for m in model.medoids]
+    seen = set(pool)
+    for i in top:
+        for node in model.clusters[i]:
+            node = int(node)
+            if node not in seen:
+                seen.add(node)
+                pool.append(node)
 
-        refined = best_placement(
-            topology,
-            system,
-            candidates=np.asarray(pool, dtype=np.intp),
-            clients=clients,
-            respect_capacities=respect_capacities,
-            runner=runner,
-        )
-        return _wrap(
-            refined,
-            n,
-            False,
-            tuple(int(m) for m in model.medoids),
-            tuple(int(i) for i in top),
-        )
-    finally:
-        if own_runner is not None:
-            own_runner.close()
+    refined = best_placement(
+        topology,
+        system,
+        candidates=np.asarray(pool, dtype=np.intp),
+        clients=clients,
+        respect_capacities=respect_capacities,
+        runner=runner,
+    )
+    return _wrap(
+        refined,
+        n,
+        False,
+        tuple(int(m) for m in model.medoids),
+        tuple(int(i) for i in top),
+    )

@@ -43,7 +43,7 @@ from repro.quorums.base import QuorumSystem
 from repro.lp import lp_backend_name
 from repro.runtime.cache import system_fingerprint, topology_fingerprint  # cache-key-input
 from repro.runtime.grid import GridPoint
-from repro.runtime.runner import in_worker, worker_memo
+from repro.runtime.runner import GridRunner, in_worker, worker_memo
 from repro.runtime.shm import resolve_topology
 
 __all__ = [
@@ -174,7 +174,7 @@ def best_many_to_one_placement(
     candidates: object = None,
     clients: object = None,
     family: FractionalFamily | None = None,
-    runner: object = None,
+    runner: GridRunner | None = None,
 ) -> ManyToOneSearchResult:
     """Run :func:`many_to_one_placement` from candidate clients, keep the best.
 
@@ -195,12 +195,12 @@ def best_many_to_one_placement(
         family instead (``family`` itself cannot cross process
         boundaries); canonical solves keep both paths bit-identical.
     runner:
-        A :class:`~repro.runtime.runner.GridRunner`. When it would
-        actually dispatch to worker processes (``jobs>1`` outside a pool
-        worker), candidates are evaluated in parallel by workers that keep
-        their own assembled families in the worker-local program cache.
-        Inside a worker — or with ``jobs=1`` — the runner degrades to the
-        serial path and the (given or internal) family is used.
+        The caller's :class:`~repro.runtime.runner.GridRunner`. When it
+        would actually dispatch to worker processes (``jobs>1`` outside a
+        pool worker), candidates are evaluated in parallel by workers that
+        keep their own assembled families in the worker-local program
+        cache. ``None``, a serial runner, or any runner inside a worker
+        takes the serial path with the (given or internal) family.
     """
     if candidates is None:
         candidate_idx = np.arange(topology.n_nodes)
@@ -216,12 +216,7 @@ def best_many_to_one_placement(
         p = np.asarray(strategy, dtype=np.float64)
 
     v0_list = [int(v0) for v0 in candidate_idx]
-    parallel = (
-        runner is not None
-        and getattr(runner, "parallel", False)
-        and len(v0_list) > 1
-    )
-    if parallel:
+    if runner is not None and runner.parallel and len(v0_list) > 1:
         # Tags carry (position, v0): the position keeps duplicate
         # candidates legal under the unique-tag rule, the v0 makes a
         # failed evaluation's ReproError name the actual candidate. The

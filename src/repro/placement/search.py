@@ -95,7 +95,6 @@ def best_placement(
     candidates: object = None,
     clients: object = None,
     respect_capacities: bool = True,
-    jobs: int = 1,
     runner: GridRunner | None = None,
 ) -> PlacementSearchResult:
     """Best one-to-one placement over candidate designated clients.
@@ -111,17 +110,14 @@ def best_placement(
         (default: every node).
     respect_capacities:
         Whether hosting nodes must have ``cap(v) >= load_f(u)``.
-    jobs:
-        Worker processes for the candidate loop. Candidates are
-        independent, so the result is identical for any ``jobs``: the
-        reduction scans delays in candidate order, keeping the serial
-        tie-break (first candidate with the minimal delay wins).
     runner:
-        A shared :class:`~repro.runtime.runner.GridRunner` to schedule the
-        candidate loop through (its worker pool is reused; inside one of
-        its workers the loop runs inline). Overrides ``jobs``; without
-        one, a throwaway runner with ``jobs`` workers is used. A
-        candidate evaluation that raises (beyond the expected
+        The caller's :class:`~repro.runtime.runner.GridRunner` to schedule
+        the candidate loop through (its worker pool is reused; inside one
+        of its workers the loop runs inline); ``None`` runs it serially.
+        Candidates are independent, so the result is identical for any
+        worker count: the reduction scans delays in candidate order,
+        keeping the serial tie-break (first candidate with the minimal
+        delay wins). A candidate evaluation that raises (beyond the expected
         infeasibility, which is handled in-loop) surfaces as a
         :class:`~repro.errors.ReproError` naming the failed candidate;
         the batch's still-queued work is cancelled (in-flight points
@@ -155,14 +151,10 @@ def best_placement(
             for i, v0 in enumerate(v0_list)
         ]
 
+    if runner is None:
+        runner = GridRunner()
     with obs.span("placement.search", candidates=len(v0_list)):
-        if runner is not None:
-            results = runner.run(_points(runner.ship(topology)))
-        else:
-            with GridRunner(jobs=jobs) as own_runner:
-                results = own_runner.run(
-                    _points(own_runner.ship(topology))
-                )
+        results = runner.run(_points(runner.ship(topology)))
     candidate_delays = [
         results[(i, v0)] for i, v0 in enumerate(v0_list)
     ]

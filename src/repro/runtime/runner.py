@@ -11,14 +11,16 @@ guaranteed to produce results identical to serial execution — the
 equivalence the regression tests in ``tests/test_runtime.py`` pin down to
 the bit.
 
-Runners nest without nesting pools: every worker process is marked by a
-pool initializer, and a ``GridRunner`` used *inside* a worker always runs
-its points inline (:func:`in_worker` exposes the flag). That lets outer
-code fan grid points out over processes while inner code — e.g. the
-best-placement candidate searches inside ``fig_8_9``'s iterative points —
-threads its own runner through unconditionally: at the top level it
-parallelizes, inside a worker it degrades to the serial loop, and in
-neither case is a second process pool ever spawned.
+One owner per pool: library drivers take ``runner: GridRunner | None``
+and nothing else (``None`` means a serial ``GridRunner()``, which never
+creates a pool or a shared-memory broker and so needs no ``close``); only
+the code that owns the process — the CLI, ``run_figure``, tests and
+benchmarks — constructs a parallel runner. Runners nest without nesting
+pools: every worker process is marked by a pool initializer, and a
+``GridRunner`` used *inside* a worker always runs its points inline
+(:func:`in_worker` exposes the flag), so a search handed the caller's
+runner parallelizes at the top level and degrades to the serial loop
+inside a worker — in neither case is a second process pool spawned.
 
 Workers also carry a **worker-local program cache**: the pool initializer
 seeds a per-process registry that library code reaches through
@@ -41,14 +43,12 @@ from __future__ import annotations
 import os
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Hashable,
     Iterable,
-    Iterator,
     Sequence,
 )
 
@@ -68,7 +68,6 @@ __all__ = [
     "GridRunner",
     "in_worker",
     "resolve_jobs",
-    "shared_runner",
     "worker_memo",
 ]
 
@@ -158,45 +157,6 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs < 0:
         raise ReproError(f"jobs must be a positive worker count, got {jobs}")
     return jobs
-
-
-@contextmanager
-def shared_runner(
-    runner: "GridRunner",
-    jobs: int | None = 1,
-    cache: ResultCache | None = None,
-) -> Iterator["GridRunner"]:
-    """The caller-provided-runner contract, in one place.
-
-    Drivers that accept ``runner=`` alongside their own ``jobs=``/
-    ``cache=`` parameters (``run_figure``, ``dynamics.replay``) enter
-    this instead of silently dropping the extras: a non-default ``jobs``
-    next to a runner raises (the runner's worker count is authoritative),
-    and ``cache`` is attached to the runner for the duration of the block
-    — unless the runner already carries a *different* cache, an equally
-    silent conflict that also raises. The runner's previous cache is
-    restored on exit; the runner itself is never closed here (the caller
-    owns it).
-    """
-    if jobs != 1:
-        raise ReproError(
-            f"got both runner= (jobs={runner.jobs}) and jobs={jobs}; "
-            "the runner's worker count wins — drop one"
-        )
-    if cache is None:
-        yield runner
-        return
-    if runner.cache is not None and runner.cache is not cache:
-        raise ReproError(
-            "got cache= but the provided runner already carries a "
-            "different cache; drop one of them"
-        )
-    previous = runner.cache
-    runner.cache = cache
-    try:
-        yield runner
-    finally:
-        runner.cache = previous
 
 
 def _invoke(fn: Callable[..., Any], kwargs: dict) -> Any:

@@ -455,16 +455,12 @@ class GenericQuorumSimulation:
         strategy = self.strategy
         samplers = {}
         if isinstance(strategy, ExplicitStrategy):
-            quorum_nodes = placed.placed_quorums
-            assignment = placed.placement.assignment
-            quorums = placed.system.quorums
+            # Quorum i's distinct nodes (ascending) and how many of its
+            # elements each hosts, read off the incidence row.
             counts = []
-            for i, q in enumerate(quorums):
-                nodes, multiplicity = np.unique(
-                    assignment[np.fromiter(q, dtype=np.intp)],
-                    return_counts=True,
-                )
-                counts.append((nodes, multiplicity))
+            for hosted in placed.incidence_counts:
+                nodes = np.flatnonzero(hosted)
+                counts.append((nodes, hosted[nodes].astype(np.intp)))
             matrix = strategy.matrix
             m = matrix.shape[1]
             for v in set(self.client_nodes.tolist()):

@@ -80,6 +80,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "many-to-one" in out
 
+    @pytest.mark.parametrize(
+        "branch",
+        [[], ["--hierarchical"], ["--many-to-one", "2.0"]],
+        ids=["default", "hierarchical", "many-to-one"],
+    )
+    def test_plan_jobs_2_prints_what_jobs_1_prints(self, capsys, branch):
+        """Every placement branch searches through the one runner the
+        command opens; a pool changes scheduling, never the plan."""
+        outputs = []
+        for jobs in ("1", "2"):
+            code = main(
+                ["plan", "--system", "grid:3", "--jobs", jobs, *branch]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "deployment plan" in outputs[0]
+
     def test_plan_bad_system_spec_errors(self, capsys):
         code = main(["plan", "--system", "ring:7"])
         assert code == 1

@@ -60,14 +60,6 @@ class TestPlacement:
 
 
 class TestPlacedQuorumSystem:
-    def test_placed_quorums_dedupe_nodes(self, line_topology):
-        grid = GridQuorumSystem(2)
-        placed = PlacedQuorumSystem(
-            grid, Placement([0, 0, 1, 2]), line_topology
-        )
-        # Quorum (0,0) = {e0, e1, e2}; nodes {0, 0, 1} dedupe to {0, 1}.
-        assert set(placed.placed_quorums[0]) == {0, 1}
-
     def test_delay_matrix_values(self, line_topology):
         grid = GridQuorumSystem(2)
         placed = PlacedQuorumSystem(
@@ -79,17 +71,6 @@ class TestPlacedQuorumSystem:
         assert placed.delay_matrix[9, i] == pytest.approx(90.0)
         # From client 0 the farthest of nodes {0,1,2} is node 2 at 20 ms.
         assert placed.delay_matrix[0, i] == pytest.approx(20.0)
-
-    def test_quorum_delay_matches_matrix(self, line_topology):
-        grid = GridQuorumSystem(3)
-        placed = PlacedQuorumSystem(
-            grid, Placement(list(range(9))), line_topology
-        )
-        for v in (0, 4, 9):
-            for i in (0, 4, 8):
-                assert placed.quorum_delay(v, i) == pytest.approx(
-                    placed.delay_matrix[v, i]
-                )
 
     def test_incidence_counts_multiplicity(self, line_topology):
         grid = GridQuorumSystem(2)
@@ -157,8 +138,7 @@ class TestNonEnumerableFailsLoudly:
 
     @pytest.mark.parametrize(
         "attribute",
-        ["delay_matrix", "incidence_counts", "incidence_indicator",
-         "placed_quorums"],
+        ["delay_matrix", "incidence_counts", "incidence_indicator"],
     )
     def test_raises_quorum_system_error(self, majority60_placed, attribute):
         tracemalloc.start()

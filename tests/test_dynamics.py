@@ -64,8 +64,9 @@ def _cold_reoptimize(self, delta, capacities):
 
 def _warm_and_cold(monkeypatch, topology, trace, **kwargs):
     """Replay ``trace`` with the controller, then again with every
-    re-optimization rebuilt cold. ``replay`` defaults to ``jobs=1`` and no
-    cache, so the patched run is inline and recomputes every point."""
+    re-optimization rebuilt cold. ``replay`` defaults to a serial runner
+    with no cache, so the patched run is inline and recomputes every
+    point."""
     warm = replay(topology, GRID, trace, **kwargs)
     with monkeypatch.context() as patch:
         patch.setattr(AdaptiveController, "_reoptimize", _cold_reoptimize)
@@ -409,34 +410,6 @@ class TestReplayValidation:
         assert set(result.series) == {CLAIRVOYANT}
         assert np.all(result.regret(CLAIRVOYANT) == 0.0)
 
-    def test_runner_jobs_conflict_raises(self, clustered_topology):
-        from repro.errors import ReproError
-
-        trace = ScenarioTrace(clustered_topology.n_nodes, 2)
-        with GridRunner() as runner:
-            with pytest.raises(ReproError, match="jobs"):
-                replay(
-                    clustered_topology, GRID, trace, runner=runner, jobs=4
-                )
-
-    def test_runner_cache_attached_and_conflicts_raise(
-        self, clustered_topology, tmp_path
-    ):
-        trace = ScenarioTrace(clustered_topology.n_nodes, 2)
-        cache = ResultCache(tmp_path / "a")
-        with GridRunner() as runner:
-            replay(clustered_topology, GRID, trace, runner=runner,
-                   cache=cache)
-            assert runner.cache is None  # detached after the call
-            assert cache.stores > 0
-        from repro.errors import ReproError
-
-        other = ResultCache(tmp_path / "b")
-        with GridRunner(cache=cache) as runner:
-            with pytest.raises(ReproError, match="cache"):
-                replay(clustered_topology, GRID, trace, runner=runner,
-                       cache=other)
-
     def test_trace_topology_size_mismatch(self, clustered_topology):
         trace = ScenarioTrace(clustered_topology.n_nodes + 1, 2)
         with pytest.raises(DynamicsError):
@@ -566,10 +539,14 @@ class TestReplayDeterminism:
     ):
         trace = _mixed_trace(clustered_topology)
         cache = ResultCache(tmp_path / "dyn")
-        first = replay(clustered_topology, GRID, trace, cache=cache)
+        first = replay(
+            clustered_topology, GRID, trace, runner=GridRunner(cache=cache)
+        )
         stores = cache.stores
         assert stores > 0
-        second = replay(clustered_topology, GRID, trace, cache=cache)
+        second = replay(
+            clustered_topology, GRID, trace, runner=GridRunner(cache=cache)
+        )
         assert cache.stores == stores  # every point answered from cache
         assert cache.hits >= stores
         for spec in first.series:

@@ -164,62 +164,6 @@ class TestFig78:
         assert sum(nonuni.y) <= sum(uniform.y) + 1e-6
 
 
-class TestRunFigureRunnerConflicts:
-    """run_figure(runner=) used to silently ignore jobs=/cache= (the
-    ROADMAP open item); now jobs conflicts raise and cache attaches."""
-
-    def test_jobs_with_runner_raises(self, planetlab):
-        from repro.runtime.runner import GridRunner
-
-        with GridRunner() as runner:
-            with pytest.raises(ReproError, match="jobs"):
-                run_figure(
-                    "fig_dyn", fast=True, topology=planetlab,
-                    jobs=4, runner=runner,
-                )
-
-    def test_explicit_runner_none_is_not_a_conflict(self, planetlab):
-        """Callers that conditionally thread a runner pass runner=None;
-        that must behave exactly like omitting it (jobs/cache honored)."""
-        result = run_figure(
-            "fig_dyn", fast=True, topology=planetlab, runner=None, jobs=1
-        )
-        assert result.figure_id == "fig_dyn"
-
-    def test_conflicting_caches_raise(self, planetlab, tmp_path):
-        from repro.runtime.cache import ResultCache
-        from repro.runtime.runner import GridRunner
-
-        runner_cache = ResultCache(tmp_path / "a")
-        call_cache = ResultCache(tmp_path / "b")
-        with GridRunner(cache=runner_cache) as runner:
-            with pytest.raises(ReproError, match="cache"):
-                run_figure(
-                    "fig_dyn", fast=True, topology=planetlab,
-                    cache=call_cache, runner=runner,
-                )
-
-    def test_cache_attached_to_provided_runner(self, planetlab, tmp_path):
-        from repro.runtime.cache import ResultCache
-        from repro.runtime.runner import GridRunner
-
-        cache = ResultCache(tmp_path / "figures")
-        with GridRunner() as runner:
-            first = run_figure(
-                "fig_dyn", fast=True, topology=planetlab,
-                cache=cache, runner=runner,
-            )
-            assert runner.cache is None  # detached after the call
-            assert cache.stores > 0  # the cache was actually consulted
-            second = run_figure(
-                "fig_dyn", fast=True, topology=planetlab,
-                cache=cache, runner=runner,
-            )
-        assert cache.hits > 0
-        for a, b in zip(first.series, second.series):
-            assert a == b
-
-
 class TestFigDyn:
     @pytest.fixture(scope="class")
     def result(self, planetlab):

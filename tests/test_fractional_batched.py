@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fractional_oracle import fractional_placement_loop
 from repro.core.iterative import iterative_optimize
 from repro.core.placement import PlacedQuorumSystem
 from repro.core.response_time import evaluate
@@ -29,7 +30,6 @@ from repro.placement.fractional import (
     FractionalProgram,
     element_loads_of_strategy,
     fractional_placement,
-    fractional_placement_loop,
 )
 from repro.placement.gap import round_fractional_placement
 from repro.placement.many_to_one import (

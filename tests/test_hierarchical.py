@@ -19,6 +19,7 @@ from repro.placement.hierarchical import (
 )
 from repro.placement.search import best_placement
 from repro.quorums.threshold import ThresholdQuorumSystem
+from repro.runtime.runner import GridRunner
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +118,10 @@ class TestHierarchicalSearch:
 
     def test_parallel_matches_serial(self, wan300, system):
         serial = hierarchical_best_placement(wan300, system)
-        parallel = hierarchical_best_placement(wan300, system, jobs=2)
+        with GridRunner(jobs=2) as runner:
+            parallel = hierarchical_best_placement(
+                wan300, system, runner=runner
+            )
         assert serial.v0 == parallel.v0
         assert serial.avg_network_delay == parallel.avg_network_delay
         assert serial.delays_by_candidate == parallel.delays_by_candidate

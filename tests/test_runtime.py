@@ -466,9 +466,8 @@ class TestParallelEquivalence:
 
     def test_fig_6_3_parallel_bit_identical(self, planetlab):
         serial = fig_6_3.run(planetlab, fast=True)
-        parallel = fig_6_3.run(
-            planetlab, fast=True, runner=GridRunner(jobs=2)
-        )
+        with GridRunner(jobs=2) as runner:
+            parallel = fig_6_3.run(planetlab, fast=True, runner=runner)
         assert serial == parallel  # frozen dataclasses: full deep equality
 
     def test_fig_6_3_cached_bit_identical(self, planetlab, tmp_path):
@@ -503,9 +502,11 @@ class TestParallelEquivalence:
         serial = best_placement(
             small_topology, system, candidates=[5, 3, 3, 5, 3]
         )
-        parallel = best_placement(
-            small_topology, system, candidates=[5, 3, 3, 5, 3], jobs=2
-        )
+        with GridRunner(jobs=2) as runner:
+            parallel = best_placement(
+                small_topology, system, candidates=[5, 3, 3, 5, 3],
+                runner=runner,
+            )
         assert serial.v0 == parallel.v0
         assert serial.delays_by_candidate == parallel.delays_by_candidate
 
@@ -520,9 +521,11 @@ class TestParallelEquivalence:
             serial = best_placement(
                 small_topology, system, candidates=candidates
             )
-            parallel = best_placement(
-                small_topology, system, candidates=candidates, jobs=2
-            )
+            with GridRunner(jobs=2) as runner:
+                parallel = best_placement(
+                    small_topology, system, candidates=candidates,
+                    runner=runner,
+                )
             assert serial.v0 == parallel.v0
             assert serial.avg_network_delay == parallel.avg_network_delay
             assert (
@@ -532,7 +535,10 @@ class TestParallelEquivalence:
     def test_best_placement_parallel_identical(self, small_topology):
         for system in (GridQuorumSystem(3), majority(MajorityKind.BFT, 2)):
             serial = best_placement(small_topology, system)
-            parallel = best_placement(small_topology, system, jobs=2)
+            with GridRunner(jobs=2) as runner:
+                parallel = best_placement(
+                    small_topology, system, runner=runner
+                )
             assert serial.v0 == parallel.v0
             assert serial.avg_network_delay == parallel.avg_network_delay
             assert serial.delays_by_candidate == parallel.delays_by_candidate

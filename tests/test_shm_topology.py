@@ -152,11 +152,12 @@ class TestRunnerIntegration:
             assert isinstance(shipped, TopologyHandle)
 
     def test_search_identical_through_workers(self, topo):
-        """jobs=2 fans candidates out with handles; results must match
+        """A jobs=2 runner fans candidates out with handles; results must match
         the serial search on the original object exactly."""
         system = GridQuorumSystem(3)
         serial = best_placement(topo, system)
-        parallel = best_placement(topo, system, jobs=2)
+        with GridRunner(jobs=2) as runner:
+            parallel = best_placement(topo, system, runner=runner)
         assert serial.v0 == parallel.v0
         assert serial.avg_network_delay == parallel.avg_network_delay
         assert serial.delays_by_candidate == parallel.delays_by_candidate
@@ -166,6 +167,7 @@ class TestRunnerIntegration:
         system = GridQuorumSystem(3)
         baseline = best_placement(topo, system)
         monkeypatch.setenv(SHM_DISABLE_ENV, "1")
-        fallback = best_placement(topo, system, jobs=2)
+        with GridRunner(jobs=2) as runner:
+            fallback = best_placement(topo, system, runner=runner)
         assert baseline.v0 == fallback.v0
         assert baseline.delays_by_candidate == fallback.delays_by_candidate

@@ -521,7 +521,9 @@ class TestClosedLoopReplay:
         fingerprint is part of the content key)."""
         trace = _drifted_trace(two_cluster_topology)
         cache = ResultCache(tmp_path / "loop")
-        kwargs = dict(policies=("threshold:0.05",), cache=cache)
+        kwargs = dict(
+            policies=("threshold:0.05",), runner=GridRunner(cache=cache)
+        )
         first = replay(
             two_cluster_topology, GRID, trace,
             telemetry=TelemetryConfig(noise=0.05, seed=9), **kwargs,
